@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.baselines.jm import binary_join
 from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import jo_order
 from repro.core.rig import build_rig
 from repro.harness.runner import Guard, RowCap
 from repro.queries.pattern import CHILD, Pattern
-from repro.queries.sql import col_name
 
 
 # ---------------------------------------------------------------------------
@@ -151,41 +151,15 @@ def neo4j(
     guard: Guard | None = None,
 ) -> DataFrame:
     """Binary joins in syntactic order, no reordering, no pruning."""
-    first = p.edges[0]
-    rels = {e: ctx.ms_edge(p, e) for e in p.edges}
-    partial = rels[first].select(
-        F.col("src").alias(col_name(first.src)),
-        F.col("dst").alias(col_name(first.dst)),
-    )
-    bound = {first.src, first.dst}
-    pending = list(p.edges[1:])
+    # Cypher-style expansion: take the next edge touching the bound
+    # prefix (Neo4j never reorders globally).
+    order, pending = [p.edges[0]], list(p.edges[1:])
+    bound = {p.edges[0].src, p.edges[0].dst}
     while pending:
-        # Cypher-style expansion: take the next edge touching the bound
-        # prefix (Neo4j never reorders globally).
-        e = next((x for x in pending if x.src in bound or x.dst in bound), pending[0])
+        e = next(x for x in pending if x.src in bound or x.dst in bound)
         pending.remove(e)
-        rel = rels[e].select(F.col("src").alias("_es"), F.col("dst").alias("_ed"))
-        conds = []
-        if e.src in bound:
-            conds.append(partial[col_name(e.src)] == rel["_es"])
-        if e.dst in bound:
-            conds.append(partial[col_name(e.dst)] == rel["_ed"])
-        if conds:
-            cond = conds[0]
-            for c in conds[1:]:
-                cond = cond & c
-            partial = partial.join(rel, cond)
-        else:
-            partial = partial.crossJoin(rel)
-        if e.src not in bound:
-            partial = partial.withColumnRenamed("_es", col_name(e.src))
-        if e.dst not in bound:
-            partial = partial.withColumnRenamed("_ed", col_name(e.dst))
-        partial = partial.drop("_es", "_ed").localCheckpoint(eager=True)
+        order.append(e)
         bound |= {e.src, e.dst}
-        if guard is not None:
-            guard.tick(partial.count())
-    out = partial.select(*[col_name(q) for q in p.node_ids()])
-    if limit is not None:
-        out = out.limit(limit)
-    return out
+    rels = {e: ctx.ms_edge(p, e) for e in p.edges}
+    out = binary_join(p, rels, order, guard=guard)
+    return out if limit is None else out.limit(limit)

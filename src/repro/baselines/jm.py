@@ -14,7 +14,11 @@ guard surfaces as the paper's statuses:
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
+
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
@@ -24,17 +28,15 @@ from repro.queries.sql import col_name
 
 
 def edge_relations(
-    ctx: MatchContext, p: Pattern, *, prefilter: bool = True,
-    guard: Guard | None = None,
+    ctx: MatchContext, p: Pattern, *, guard: Guard | None = None
 ) -> dict[PEdge, DataFrame]:
-    """Per-edge match relations, optionally node-pre-filtered [11,63]."""
+    """Per-edge match relations, node-pre-filtered [11,63]."""
     rels: dict[PEdge, DataFrame] = {}
-    pf = prefilter_nodes(ctx, p, guard=guard) if prefilter else None
+    pf = prefilter_nodes(ctx, p, guard=guard)
     for e in p.edges:
         ms = ctx.ms_edge(p, e)
-        if pf is not None:
-            ms = ms.join(pf[e.src], ms["src"] == pf[e.src]["id"], "leftsemi")
-            ms = ms.join(pf[e.dst], ms["dst"] == pf[e.dst]["id"], "leftsemi")
+        ms = ms.join(pf[e.src], ms["src"] == pf[e.src]["id"], "leftsemi")
+        ms = ms.join(pf[e.dst], ms["dst"] == pf[e.dst]["id"], "leftsemi")
         rels[e] = ms.localCheckpoint(eager=True)
         if guard is not None:
             guard.tick(rels[e].count())
@@ -58,7 +60,6 @@ def plan_left_deep(
     for e in edges:
         c = float(max(1, card[e]))
         states[1 << eidx[e]] = (c, c, (e,), frozenset({e.src, e.dst}))
-    best_full = None
     for _ in range(len(edges) - 1):
         nxt: dict[int, tuple[float, float, tuple[PEdge, ...], frozenset]] = {}
         for mask, (cost, crd, order, bound) in states.items():
@@ -77,59 +78,52 @@ def plan_left_deep(
                 if key not in nxt or new_cost < nxt[key][0]:
                     nxt[key] = (new_cost, new_card, order + (e,), bound | {e.src, e.dst})
         states = nxt
-    full = (1 << len(edges)) - 1
-    if full in states:
-        best_full = list(states[full][2])
-    if best_full is None:  # disconnected pattern: fall back to input order
-        best_full = edges
-    return best_full
+    return list(states[(1 << len(edges)) - 1][2])
+
+
+def binary_join(
+    p: Pattern, rels: dict[PEdge, DataFrame], order: list[PEdge],
+    *, guard: Guard | None = None,
+) -> DataFrame:
+    """Edge-at-a-time binary joins of ``rels`` along ``order``.
+
+    The partial relation is seeded from ``order[0]``; every later edge
+    must touch a bound node and is joined on its bound endpoint(s), one
+    or both. Each intermediate is materialized and counted, which is
+    exactly where JM, TM and Neo4j explode (guard -> OM/TO). Returns
+    one column per node of ``p``, in ``p.node_ids()`` order.
+    """
+    first = order[0]
+    partial = rels[first].select(
+        F.col("src").alias(col_name(first.src)),
+        F.col("dst").alias(col_name(first.dst)),
+    )
+    bound = {first.src, first.dst}
+    for e in order[1:]:
+        ends = ((e.src, "src"), (e.dst, "dst"))
+        rel = rels[e].select(*[
+            F.col(c).alias(f"_{c}" if q in bound else col_name(q)) for q, c in ends
+        ])
+        on = [partial[col_name(q)] == rel[f"_{c}"] for q, c in ends if q in bound]
+        partial = partial.join(rel, reduce(and_, on)).drop("_src", "_dst")
+        partial = partial.localCheckpoint(eager=True)
+        bound |= {e.src, e.dst}
+        if guard is not None:
+            guard.tick(partial.count())
+    return partial.select(*[col_name(q) for q in p.node_ids()])
 
 
 def jm(
     ctx: MatchContext,
     p: Pattern,
     *,
-    prefilter: bool = True,
     limit: int | None = None,
     guard: Guard | None = None,
 ) -> DataFrame:
     """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
-    rels = edge_relations(ctx, p, prefilter=prefilter, guard=guard)
+    rels = edge_relations(ctx, p, guard=guard)
     card = {e: rels[e].count() for e in p.edges}
     node_card = {q: ctx.ms_node(p, q).count() for q in p.node_ids()}
     plan = plan_left_deep(p, card, node_card, guard=guard)
-
-    first = plan[0]
-    partial = rels[first].select(
-        rels[first]["src"].alias(col_name(first.src)),
-        rels[first]["dst"].alias(col_name(first.dst)),
-    )
-    bound = {first.src, first.dst}
-    for e in plan[1:]:
-        rel = rels[e].select(
-            rels[e]["src"].alias("_es"), rels[e]["dst"].alias("_ed")
-        )
-        conds = []
-        if e.src in bound:
-            conds.append(partial[col_name(e.src)] == rel["_es"])
-        if e.dst in bound:
-            conds.append(partial[col_name(e.dst)] == rel["_ed"])
-        cond = conds[0]
-        for c in conds[1:]:
-            cond = cond & c
-        partial = partial.join(rel, cond)
-        if e.src not in bound:
-            partial = partial.withColumnRenamed("_es", col_name(e.src))
-        if e.dst not in bound:
-            partial = partial.withColumnRenamed("_ed", col_name(e.dst))
-        partial = partial.drop("_es", "_ed")
-        bound |= {e.src, e.dst}
-        # Edge-at-a-time: each binary-join intermediate is materialized,
-        # which is exactly where JM explodes (guard -> OM).
-        partial = partial.localCheckpoint(eager=True)
-        if guard is not None:
-            guard.tick(partial.count())
-    out = partial.select(*[col_name(q) for q in p.node_ids()])
-    if limit is not None:
-        out = out.limit(limit)
-    return out
+    out = binary_join(p, rels, plan, guard=guard)
+    return out if limit is None else out.limit(limit)

@@ -14,7 +14,7 @@ from collections import deque
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.jm import edge_relations
+from repro.baselines.jm import binary_join, edge_relations
 from repro.core.matchsets import MatchContext
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
@@ -47,54 +47,20 @@ def tm(
     ctx: MatchContext,
     p: Pattern,
     *,
-    prefilter: bool = True,
     limit: int | None = None,
     guard: Guard | None = None,
 ) -> DataFrame:
     """Evaluate the spanning tree, then filter by the missing edges."""
-    rels = edge_relations(ctx, p, prefilter=prefilter, guard=guard)
+    rels = edge_relations(ctx, p, guard=guard)
     tree, non_tree = spanning_tree(p)
-
-    first = tree[0] if tree else p.edges[0]
-    partial = rels[first].select(
-        rels[first]["src"].alias(col_name(first.src)),
-        rels[first]["dst"].alias(col_name(first.dst)),
-    )
-    bound = {first.src, first.dst}
-    for e in tree[1:]:
-        rel = rels[e].select(
-            rels[e]["src"].alias("_es"), rels[e]["dst"].alias("_ed")
-        )
-        if e.src in bound:
-            partial = (
-                partial.join(rel, partial[col_name(e.src)] == rel["_es"])
-                .withColumnRenamed("_ed", col_name(e.dst))
-                .drop("_es")
-            )
-            bound.add(e.dst)
-        else:
-            partial = (
-                partial.join(rel, partial[col_name(e.dst)] == rel["_ed"])
-                .withColumnRenamed("_es", col_name(e.src))
-                .drop("_ed")
-            )
-            bound.add(e.src)
-        # The tree-solution relation is materialized in full before any
-        # non-tree filter runs — TM's documented bottleneck.
-        partial = partial.localCheckpoint(eager=True)
-        if guard is not None:
-            guard.tick(partial.count())
+    # The tree-solution relation is materialized in full before any
+    # non-tree filter runs — TM's documented bottleneck.
+    out = binary_join(p, rels, tree, guard=guard)
     for e in non_tree:
-        rel = rels[e].select(
-            rels[e]["src"].alias("_es"), rels[e]["dst"].alias("_ed")
-        )
-        partial = partial.join(
+        rel = rels[e]
+        out = out.join(
             rel,
-            (partial[col_name(e.src)] == rel["_es"])
-            & (partial[col_name(e.dst)] == rel["_ed"]),
+            (out[col_name(e.src)] == rel["src"]) & (out[col_name(e.dst)] == rel["dst"]),
             "leftsemi",
         )
-    out = partial.select(*[col_name(q) for q in p.node_ids()])
-    if limit is not None:
-        out = out.limit(limit)
-    return out
+    return out if limit is None else out.limit(limit)

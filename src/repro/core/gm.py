@@ -7,9 +7,6 @@ evaluation tables:
 * ``gm``    — full pipeline (FBSim, pass cap 3, JO order by default).
 * ``gm-f``  — no double simulation; RIG from pre-filtered match sets
   (one-pass node pre-filter [11,63]) — larger RIG, slower enumeration.
-* ``gm-s``  — no pre-filter before simulation (identical here: our
-  simulation starts from raw match sets, pre-filtering is subsumed by
-  pass 1, so gm == gm-s; kept for API parity).
 * ``gm-nr`` — skip the pattern transitive reduction (Fig. 15 ablation).
 """
 from __future__ import annotations
@@ -27,6 +24,8 @@ from repro.core.rig import RIG, build_rig
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern
 from repro.queries.transitive_reduction import transitive_reduction
+
+VARIANTS = ("gm", "gm-f", "gm-nr")
 
 
 @dataclass
@@ -51,14 +50,15 @@ def gm(
     order_method: str = "jo",
     sim_passes: int | None = 3,
     limit: int | None = None,
-    reduce: bool = True,
     guard: Guard | None = None,
     partial_cap: int | None = None,
 ) -> GMResult:
     """Run GM (or a variant) and return the lazy answer DataFrame."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown GM variant {variant!r}; choose from {VARIANTS}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    if reduce and variant != "gm-nr":
+    if variant != "gm-nr":
         p = transitive_reduction(p)
     timings["reduce"] = time.perf_counter() - t0
 

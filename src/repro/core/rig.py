@@ -19,13 +19,13 @@ per-node binary searches). Variants used by the evaluation:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 
 from pyspark.sql import DataFrame
 
 from repro.core.matchsets import MatchContext
-from repro.core.simulation import SimResult, fb_sim, fb_sim_bas
+from repro.core.simulation import SimResult, checkpoint_and_count, fb_sim, fb_sim_bas
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 
@@ -94,29 +94,17 @@ def build_rig(
     cos_edges: dict[PEdge, DataFrame] = {}
     edge_counts: dict[PEdge, int] = {}
     if all(c > 0 for c in node_counts.values()):
-        # Batch expansion: all cos(e) sets tagged + unioned so the whole
-        # phase costs O(1) Spark actions regardless of |E_Q| (same trick
-        # as the simulation's _materialize; the paper batches this phase
-        # with bitmap unions for the same reason).
-        from pyspark.sql import functions as F
-
-        combined = None
+        expanded = {}
         for i, e in enumerate(p.edges):
             ms = ctx.ms_edge(p, e)
-            ce = (
+            expanded[i] = (
                 ms.join(cos[e.src], ms["src"] == cos[e.src]["id"], "leftsemi")
                 .join(cos[e.dst], ms["dst"] == cos[e.dst]["id"], "leftsemi")
-                .select(F.lit(i).alias("_e"), "src", "dst")
             )
-            combined = ce if combined is None else combined.unionByName(ce)
-        combined = combined.localCheckpoint(eager=True)
-        counted = {
-            r["_e"]: r["n"]
-            for r in combined.groupBy("_e").agg(F.count("*").alias("n")).collect()
-        }
+        views, counts = checkpoint_and_count(expanded)
         for i, e in enumerate(p.edges):
-            cos_edges[e] = combined.where(F.col("_e") == i).select("src", "dst")
-            edge_counts[e] = int(counted.get(i, 0))
+            cos_edges[e] = views[i]
+            edge_counts[e] = counts[i]
             if guard is not None:
                 guard.tick(edge_counts[e])
     else:

@@ -28,7 +28,7 @@ remains a valid RIG node set (Def. 4.1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -53,33 +53,32 @@ class SimResult:
         return any(c == 0 for c in self.counts.values())
 
 
-def _initial(ctx: MatchContext, p: Pattern) -> dict[int, DataFrame]:
-    return {q: ctx.ms_node(p, q) for q in p.node_ids()}
+def checkpoint_and_count(
+    frames: dict[int, DataFrame],
+) -> tuple[dict[int, DataFrame], dict[int, int]]:
+    """Checkpoint all frames in ONE job and count them in one more.
 
-
-def _materialize(fb: dict[int, DataFrame]) -> dict[int, int]:
-    """Checkpoint all candidate sets in ONE job and count them in one more.
-
-    The per-node sets are tagged and unioned so each pass costs O(1)
-    Spark actions instead of O(|V_Q|) — the difference between ~5s and
-    ~60s per simulation on 20-node patterns. The per-node views handed
-    back are cheap filters over the checkpointed union.
+    The frames are tagged with their key and unioned so a simulation
+    pass or a RIG expansion costs O(1) Spark actions instead of one per
+    query node or edge — the difference between ~5s and ~60s per
+    simulation on 20-node patterns (the paper batches the same phases
+    with bitmap unions). The per-key views handed back are cheap filters
+    over the checkpointed union.
     """
-    qs = sorted(fb)
+    keys = sorted(frames)
     combined = None
-    for q in qs:
-        tagged = fb[q].select(F.lit(q).alias("_q"), "id")
+    for k in keys:
+        tagged = frames[k].select(F.lit(k).alias("_k"), *frames[k].columns)
         combined = tagged if combined is None else combined.unionByName(tagged)
     combined = combined.localCheckpoint(eager=True)
     counted = {
-        r["_q"]: r["n"]
-        for r in combined.groupBy("_q").agg(F.count("*").alias("n")).collect()
+        r["_k"]: r["n"]
+        for r in combined.groupBy("_k").agg(F.count("*").alias("n")).collect()
     }
-    counts = {}
-    for q in qs:
-        fb[q] = combined.where(F.col("_q") == q).select("id")
-        counts[q] = int(counted.get(q, 0))
-    return counts
+    views = {
+        k: combined.where(F.col("_k") == k).select(*frames[k].columns) for k in keys
+    }
+    return views, {k: int(counted.get(k, 0)) for k in keys}
 
 
 def _forward_prune(ctx: MatchContext, p: Pattern, fb: dict, e: PEdge) -> None:
@@ -100,12 +99,29 @@ def _backward_prune(ctx: MatchContext, p: Pattern, fb: dict, e: PEdge) -> None:
     )
 
 
+def _bas_sweep(ctx: MatchContext, p: Pattern, fb: dict, edges) -> None:
+    """FBSimBas sweep: forward-prune every edge, then backward-prune every edge."""
+    for e in edges:
+        _forward_prune(ctx, p, fb, e)
+    for e in edges:
+        _backward_prune(ctx, p, fb, e)
+
+
+def _dag_sweep(ctx: MatchContext, p: Pattern, fb: dict, dag: Pattern, topo) -> None:
+    """FBSimDag sweep over the DAG pattern ``dag`` (``topo`` its order)."""
+    for q in reversed(topo):  # bottom-up: forward simulation
+        for e in dag.out_edges(q):
+            _forward_prune(ctx, p, fb, e)
+    for q in topo:  # top-down: backward simulation
+        for e in dag.in_edges(q):
+            _backward_prune(ctx, p, fb, e)
+
+
 def _run_passes(
     ctx, p, one_pass, *, max_passes, guard: Guard | None, algorithm: str
 ) -> SimResult:
     """Shared driver loop: init, iterate ``one_pass`` until stable."""
-    fb = _initial(ctx, p)
-    counts = _materialize(fb)
+    fb, counts = checkpoint_and_count({q: ctx.ms_node(p, q) for q in p.node_ids()})
     passes = 0
     converged = False
     while max_passes is None or passes < max_passes:
@@ -113,7 +129,7 @@ def _run_passes(
             converged = True  # empty FB: early termination (§4.3 example)
             break
         one_pass(fb)
-        new_counts = _materialize(fb)
+        fb, new_counts = checkpoint_and_count(fb)
         passes += 1
         if guard is not None:
             guard.tick(max(new_counts.values()))
@@ -126,21 +142,13 @@ def _run_passes(
 
 def fb_sim_bas(
     ctx: MatchContext, p: Pattern, *, max_passes: int | None = None,
-    guard: Guard | None = None, edges: tuple | None = None,
+    guard: Guard | None = None,
 ) -> SimResult:
-    """FBSimBas (Algorithm 1): edge-order forward then backward prunes.
-
-    ``edges`` restricts the pass to a subset (used by FBSim for Δ).
-    """
-    es = edges if edges is not None else p.edges
-
-    def one_pass(fb):
-        for e in es:
-            _forward_prune(ctx, p, fb, e)
-        for e in es:
-            _backward_prune(ctx, p, fb, e)
-
-    return _run_passes(ctx, p, one_pass, max_passes=max_passes, guard=guard, algorithm="bas")
+    """FBSimBas (Algorithm 1): edge-order forward then backward prunes."""
+    return _run_passes(
+        ctx, p, lambda fb: _bas_sweep(ctx, p, fb, p.edges),
+        max_passes=max_passes, guard=guard, algorithm="bas",
+    )
 
 
 def fb_sim_dag(
@@ -151,16 +159,10 @@ def fb_sim_dag(
     topo = p.topological_order()
     if topo is None:
         raise ValueError("FBSimDag requires a DAG pattern; use fb_sim")
-
-    def one_pass(fb):
-        for q in reversed(topo):  # bottom-up: forward simulation
-            for e in p.out_edges(q):
-                _forward_prune(ctx, p, fb, e)
-        for q in topo:  # top-down: backward simulation
-            for e in p.in_edges(q):
-                _backward_prune(ctx, p, fb, e)
-
-    return _run_passes(ctx, p, one_pass, max_passes=max_passes, guard=guard, algorithm="dag")
+    return _run_passes(
+        ctx, p, lambda fb: _dag_sweep(ctx, p, fb, p, topo),
+        max_passes=max_passes, guard=guard, algorithm="dag",
+    )
 
 
 def fb_sim(
@@ -181,18 +183,7 @@ def fb_sim(
     topo = p_dag.topological_order()
 
     def one_pass(fb):
-        for q in reversed(topo):
-            for e in p_dag.out_edges(q):
-                _forward_prune(ctx, p, fb, e)
-        for q in topo:
-            for e in p_dag.in_edges(q):
-                _backward_prune(ctx, p, fb, e)
-        for e in back_edges:
-            _forward_prune(ctx, p, fb, e)
-        for e in back_edges:
-            _backward_prune(ctx, p, fb, e)
+        _dag_sweep(ctx, p, fb, p_dag, topo)
+        _bas_sweep(ctx, p, fb, back_edges)
 
     return _run_passes(ctx, p, one_pass, max_passes=max_passes, guard=guard, algorithm="dag+delta")
-
-
-ALGORITHMS = {"bas": fb_sim_bas, "dag": fb_sim_dag, "auto": fb_sim}

@@ -54,7 +54,7 @@ class Guard:
 class RunResult:
     """Outcome of one guarded query evaluation."""
 
-    status: str  # 'ok' | 'TO' | 'OM' | 'FA'
+    status: str  # 'ok' | 'TO' | 'OM'
     seconds: float
     value: object = None
     error: str = ""
@@ -67,7 +67,7 @@ class RunResult:
 def run_guarded(
     fn, *, time_limit_s: float | None = None, row_cap: int | None = None
 ) -> RunResult:
-    """Run ``fn(guard)`` under budgets, mapping failures to TO/OM/FA."""
+    """Run ``fn(guard)`` under budgets, mapping failures to TO/OM."""
     guard = Guard(time_limit_s=time_limit_s, row_cap=row_cap)
     t0 = time.perf_counter()
     try:

@@ -1,6 +1,7 @@
 """Tests for the JM / TM baselines and node pre-filtering."""
 import pytest
 
+from repro.baselines.engines import neo4j
 from repro.baselines.jm import edge_relations, jm, plan_left_deep
 from repro.baselines.prefilter import prefilter_nodes
 from repro.baselines.tm import spanning_tree, tm
@@ -103,10 +104,11 @@ class TestPlanning:
 
 
 class TestGuards:
-    def test_jm_row_cap_gives_om(self, ctx_for):
+    @pytest.mark.parametrize("algo", [jm, tm, neo4j], ids=lambda f: f.__name__)
+    def test_row_cap_gives_om(self, ctx_for, algo):
         g, ctx = ctx_for("em")
         p = instantiate(9, qtype="D", n_labels=20, seed=2)
-        r = run_guarded(lambda gd: jm(ctx, p, guard=gd).count(), row_cap=1)
+        r = run_guarded(lambda gd: algo(ctx, p, guard=gd).count(), row_cap=1)
         assert r.status == "OM"
 
     def test_tm_time_limit_gives_to(self, ctx_for):

@@ -15,6 +15,7 @@ from repro.harness.runner import run_guarded
 from repro.queries.pattern import CHILD, DESC
 from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
+from tests.test_baselines import GRID
 
 
 @pytest.mark.parametrize("tid", [1, 6, 11])
@@ -62,7 +63,7 @@ def test_eh_returns_answer_and_precompute_time(tiny_ctx_for):
     assert got == homomorphisms(p, nodes, edges)
 
 
-@pytest.mark.parametrize("tid,qtype", [(1, "C"), (6, "H"), (9, "D")])
+@pytest.mark.parametrize("tid,qtype", GRID)
 def test_neo4j_matches_bruteforce(tiny_ctx_for, tid, qtype):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()

@@ -92,6 +92,13 @@ def test_gm_variants_agree(tiny_ctx_for, variant):
     assert got == base
 
 
+def test_gm_rejects_unknown_variant(tiny_ctx_for):
+    g, ctx = tiny_ctx_for(0)
+    p = instantiate(6, qtype="H", n_labels=5, seed=1)
+    with pytest.raises(ValueError):
+        gm(ctx, p, variant="gm-s")
+
+
 @pytest.mark.parametrize("method", ["jo", "ri", "bj"])
 def test_gm_order_methods_agree(tiny_ctx_for, method):
     g, ctx = tiny_ctx_for(2)
