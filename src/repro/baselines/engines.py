@@ -36,9 +36,16 @@ from repro.baselines.jm import binary_join
 from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import jo_order
-from repro.core.rig import build_rig
+from repro.core.rig import RIG, expand_rig
+from repro.core.simulation import checkpoint_and_count
 from repro.harness.runner import Guard, RowCap
 from repro.queries.pattern import CHILD, Pattern
+
+
+def _match_rig(ctx: MatchContext, p: Pattern, *, guard: Guard | None = None) -> RIG:
+    """The match RIG G_Q^m that GF and EH probe: cos(q) = ms(q), no pruning."""
+    ms = {q: ctx.ms_node(p, q) for q in p.node_ids()}
+    return expand_rig(ctx, p, *checkpoint_and_count(ms), guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +111,7 @@ def gf(
     """
     if any(e.kind != CHILD for e in p.edges):
         raise ValueError("GF cannot map edges to paths; materialize the TC first")
-    rig = build_rig(ctx, p, sim=None, guard=guard)  # match RIG: no pruning
+    rig = _match_rig(ctx, p, guard=guard)
     return mjoin(rig, jo_order(rig), limit=limit, guard=guard)
 
 
@@ -136,7 +143,7 @@ def eh(
         if guard is not None:
             guard.tick(n)
     pre = time.perf_counter() - t0
-    rig = build_rig(ctx, p, sim=None, guard=guard)
+    rig = _match_rig(ctx, p, guard=guard)
     return mjoin(rig, jo_order(rig), limit=limit, guard=guard), pre
 
 

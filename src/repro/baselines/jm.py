@@ -1,7 +1,9 @@
 """JM: the join-based baseline (paper §1, §7.1; R-Join style [12]).
 
-JM decomposes the query into its edges, computes one match relation per
-edge, picks an optimized *left-deep* plan by exhaustive dynamic
+JM decomposes the query into its edges and takes one node-pre-filtered
+match relation per edge [11,63]: the ``cos(e)`` that
+``repro.core.rig.expand_rig`` builds from the pre-filtered node sets, as
+for GM-F. It picks an optimized *left-deep* plan by exhaustive dynamic
 programming over edge orders, and evaluates it as a sequence of binary
 (edge-at-a-time) joins. Its two documented failure modes, which the
 guard surfaces as the paper's statuses:
@@ -22,25 +24,10 @@ from pyspark.sql import functions as F
 
 from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
+from repro.core.rig import expand_rig
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 from repro.queries.sql import col_name
-
-
-def edge_relations(
-    ctx: MatchContext, p: Pattern, *, guard: Guard | None = None
-) -> dict[PEdge, DataFrame]:
-    """Per-edge match relations, node-pre-filtered [11,63]."""
-    rels: dict[PEdge, DataFrame] = {}
-    pf = prefilter_nodes(ctx, p, guard=guard)
-    for e in p.edges:
-        ms = ctx.ms_edge(p, e)
-        ms = ms.join(pf[e.src], ms["src"] == pf[e.src]["id"], "leftsemi")
-        ms = ms.join(pf[e.dst], ms["dst"] == pf[e.dst]["id"], "leftsemi")
-        rels[e] = ms.localCheckpoint(eager=True)
-        if guard is not None:
-            guard.tick(rels[e].count())
-    return rels
 
 
 def plan_left_deep(
@@ -121,9 +108,8 @@ def jm(
     guard: Guard | None = None,
 ) -> DataFrame:
     """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
-    rels = edge_relations(ctx, p, guard=guard)
-    card = {e: rels[e].count() for e in p.edges}
+    rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     node_card = {q: ctx.ms_node(p, q).count() for q in p.node_ids()}
-    plan = plan_left_deep(p, card, node_card, guard=guard)
-    out = binary_join(p, rels, plan, guard=guard)
+    plan = plan_left_deep(p, rig.edge_counts, node_card, guard=guard)
+    out = binary_join(p, rig.cos_edges, plan, guard=guard)
     return out if limit is None else out.limit(limit)

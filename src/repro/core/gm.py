@@ -20,7 +20,7 @@ from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import pick_order
-from repro.core.rig import RIG, build_rig
+from repro.core.rig import RIG, build_rig, expand_rig
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern
 from repro.queries.transitive_reduction import transitive_reduction
@@ -64,10 +64,9 @@ def gm(
 
     t0 = time.perf_counter()
     if variant == "gm-f":
-        pf = prefilter_nodes(ctx, p, guard=guard)
-        rig = build_rig(ctx, p, sim=None, prefilter_fb=pf, guard=guard)
+        rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     else:
-        rig = build_rig(ctx, p, sim="auto", max_passes=sim_passes, guard=guard)
+        rig = build_rig(ctx, p, max_passes=sim_passes, guard=guard)
     timings["rig"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

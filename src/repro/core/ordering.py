@@ -29,8 +29,7 @@ def jo_order(rig: RIG) -> list[int]:
     remaining = set(p.node_ids()) - set(order)
     while remaining:
         frontier = [q for q in remaining if p.neighbors(q) & set(order)]
-        pool = frontier or sorted(remaining)  # disconnected fallback
-        nxt = min(pool, key=lambda q: (counts[q], q))
+        nxt = min(frontier, key=lambda q: (counts[q], q))
         order.append(nxt)
         remaining.remove(nxt)
     return order
@@ -116,11 +115,8 @@ def bj_order(rig: RIG, *, guard: Guard | None = None) -> list[int]:
                 new_cost = cost + new_card
                 if key not in nxt_states or new_cost < nxt_states[key][0]:
                     nxt_states[key] = (new_cost, new_card, order + (q,))
-        states = nxt_states or states
-    full = (1 << len(ids)) - 1
-    if full in states:
-        return list(states[full][2])
-    return jo_order(rig)  # disconnected pattern fallback
+        states = nxt_states
+    return list(states[(1 << len(ids)) - 1][2])
 
 
 def pick_order(method: str, rig: RIG, *, guard: Guard | None = None) -> list[int]:

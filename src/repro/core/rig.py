@@ -6,26 +6,29 @@ query edge, with os ⊆ cos ⊆ ms (Def. 4.1). It losslessly encodes every
 homomorphism from Q to G (Prop. 4.1) and is the search space MJoin
 enumerates over.
 
-``build_rig`` follows Algorithm 4: *node selection* computes the double
-simulation and takes ``cos(q) = FB(q)``; *node expansion* connects the
-selected nodes — here one hash-join per query edge, ``ms(e)``
-semi-joined to both endpoint cos sets (the dataflow analogue of the
-paper's batched bitmap intersections ``adj(v) ∩ cos(q)``, which replace
-per-node binary searches). Variants used by the evaluation:
+Algorithm 4 has two halves. *Node selection* picks ``cos(q)``; *node
+expansion* (:func:`expand_rig`) connects the selected nodes — here one
+hash-join per query edge, ``cos(e) = ms(e) ⋉ cos(src) ⋉ cos(dst)`` (the
+dataflow analogue of the paper's batched bitmap intersections
+``adj(v) ∩ cos(q)``, which replace per-node binary searches). Every
+algorithm that turns node candidate sets into edge relations goes
+through :func:`expand_rig`; they differ only in how ``cos(q)`` is
+selected:
 
-* ``sim=None``          -> match RIG G_Q^m (cos = ms; the GM-F/no-sim path)
-* ``max_passes=3``      -> the paper's approximate FB (default)
-* ``max_passes=None``   -> exact double simulation
+* :func:`build_rig` — ``cos(q) = FB(q)``, the double simulation (GM);
+  ``max_passes=3`` is the paper's approximate FB, ``None`` the exact one
+* ``prefilter_nodes`` — one-pass node pre-filtering (GM-F, JM, TM)
+* ``cos(q) = ms(q)`` — the match RIG G_Q^m (the GF and EH simulators)
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-import time
 
 from pyspark.sql import DataFrame
 
 from repro.core.matchsets import MatchContext
-from repro.core.simulation import SimResult, checkpoint_and_count, fb_sim, fb_sim_bas
+# fb_sim_bas is unused here; tracers of this module patch it by this name.
+from repro.core.simulation import checkpoint_and_count, fb_sim, fb_sim_bas
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 
@@ -39,8 +42,6 @@ class RIG:
     cos_edges: dict[PEdge, DataFrame]
     node_counts: dict[int, int]
     edge_counts: dict[PEdge, int]
-    sim: SimResult | None
-    build_seconds: float = 0.0
 
     @property
     def empty(self) -> bool:
@@ -57,67 +58,55 @@ def build_rig(
     ctx: MatchContext,
     p: Pattern,
     *,
-    sim: str | None = "auto",
     max_passes: int | None = 3,
-    prefilter_fb: dict[int, DataFrame] | None = None,
     guard: Guard | None = None,
 ) -> RIG:
-    """Algorithm 4 (BuildRIG): select nodes via FB, then expand edges.
+    """Algorithm 4 (BuildRIG): select nodes via FBSim, then expand edges."""
+    sim = fb_sim(ctx, p, max_passes=max_passes, guard=guard)
+    return expand_rig(ctx, p, sim.fb, sim.counts, guard=guard)
 
-    ``sim``: 'auto' (FBSim), 'bas' (FBSimBas) or None (skip simulation —
-    cos(q)=ms(q), producing the match RIG; used by the GM-F variant).
-    ``prefilter_fb``: externally pruned node sets to start from (the
-    GM / GM-F node pre-filtering path).
+
+def expand_rig(
+    ctx: MatchContext,
+    p: Pattern,
+    cos: dict[int, DataFrame],
+    node_counts: dict[int, int],
+    *,
+    guard: Guard | None = None,
+) -> RIG:
+    """Node expansion: ``cos(e) = ms(e) ⋉ cos(src) ⋉ cos(dst)`` for every edge.
+
+    ``cos``/``node_counts`` are the selected node sets and their sizes.
+    All edge sets are materialized in one checkpoint; the guard is ticked
+    with each edge count.
     """
-    t0 = time.perf_counter()
-    # -- node selection ---------------------------------------------------
-    if sim is None:
-        cos = {
-            q: (prefilter_fb[q] if prefilter_fb else ctx.ms_node(p, q))
-            for q in p.node_ids()
-        }
-        node_counts = {q: df.count() for q, df in cos.items()}
-        sim_res = None
-    else:
-        algo = fb_sim_bas if sim == "bas" else fb_sim
-        sim_res = algo(ctx, p, max_passes=max_passes, guard=guard)
-        cos = dict(sim_res.fb)
-        node_counts = dict(sim_res.counts)
-        if sim_res.empty:
-            # One empty FB(q) empties the whole answer (Q is connected):
-            # the RIG degenerates to the empty k-partite graph and query
-            # evaluation terminates early (§4.3 example).
-            cos = {q: df.limit(0) for q, df in cos.items()}
-            node_counts = {q: 0 for q in node_counts}
-
-    # -- node expansion ---------------------------------------------------
-    cos_edges: dict[PEdge, DataFrame] = {}
-    edge_counts: dict[PEdge, int] = {}
-    if all(c > 0 for c in node_counts.values()):
-        expanded = {}
-        for i, e in enumerate(p.edges):
-            ms = ctx.ms_edge(p, e)
-            expanded[i] = (
-                ms.join(cos[e.src], ms["src"] == cos[e.src]["id"], "leftsemi")
-                .join(cos[e.dst], ms["dst"] == cos[e.dst]["id"], "leftsemi")
-            )
-        views, counts = checkpoint_and_count(expanded)
-        for i, e in enumerate(p.edges):
-            cos_edges[e] = views[i]
-            edge_counts[e] = counts[i]
-            if guard is not None:
-                guard.tick(edge_counts[e])
-    else:
-        for e in p.edges:  # empty FB -> empty RIG, early termination
-            cos_edges[e] = ctx.ms_edge(p, e).limit(0)
-            edge_counts[e] = 0
-
+    if any(c == 0 for c in node_counts.values()):
+        # One empty cos(q) empties the whole answer (Q is connected):
+        # the RIG degenerates to the empty k-partite graph and query
+        # evaluation terminates early (§4.3 example).
+        return RIG(
+            pattern=p,
+            cos={q: df.limit(0) for q, df in cos.items()},
+            cos_edges={e: ctx.ms_edge(p, e).limit(0) for e in p.edges},
+            node_counts={q: 0 for q in node_counts},
+            edge_counts={e: 0 for e in p.edges},
+        )
+    expanded = {}
+    for i, e in enumerate(p.edges):
+        ms = ctx.ms_edge(p, e)
+        expanded[i] = (
+            ms.join(cos[e.src], ms["src"] == cos[e.src]["id"], "leftsemi")
+            .join(cos[e.dst], ms["dst"] == cos[e.dst]["id"], "leftsemi")
+        )
+    views, counts = checkpoint_and_count(expanded)
+    edge_counts = {e: counts[i] for i, e in enumerate(p.edges)}
+    if guard is not None:
+        for n in edge_counts.values():
+            guard.tick(n)
     return RIG(
         pattern=p,
         cos=cos,
-        cos_edges=cos_edges,
+        cos_edges={e: views[i] for i, e in enumerate(p.edges)},
         node_counts=node_counts,
         edge_counts=edge_counts,
-        sim=sim_res,
-        build_seconds=time.perf_counter() - t0,
     )

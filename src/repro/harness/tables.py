@@ -94,25 +94,10 @@ def _run_gm(ctx, p, **kw) -> RunResult:
     return RunResult("ok", time.perf_counter() - t0, value=n)
 
 
-def _run_jm(ctx, p, time_limit=TIME_LIMIT_S) -> RunResult:
+def _run_baseline(alg, ctx, p, time_limit=TIME_LIMIT_S) -> RunResult:
+    """A baseline (``jm``, ``tm`` or ``neo4j``) under the harness's budgets."""
     return run_guarded(
-        lambda g: jm(ctx, p, limit=MATCH_LIMIT, guard=g).count(),
-        time_limit_s=time_limit,
-        row_cap=ROW_CAP,
-    )
-
-
-def _run_tm(ctx, p, time_limit=TIME_LIMIT_S) -> RunResult:
-    return run_guarded(
-        lambda g: tm(ctx, p, limit=MATCH_LIMIT, guard=g).count(),
-        time_limit_s=time_limit,
-        row_cap=ROW_CAP,
-    )
-
-
-def _run_neo4j(ctx, p, time_limit=TIME_LIMIT_S) -> RunResult:
-    return run_guarded(
-        lambda g: neo4j(ctx, p, limit=MATCH_LIMIT, guard=g).count(),
+        lambda g: alg(ctx, p, limit=MATCH_LIMIT, guard=g).count(),
         time_limit_s=time_limit,
         row_cap=ROW_CAP,
     )
@@ -164,17 +149,16 @@ def table3(
             random_pattern(n_nodes=n, qtype="D", n_labels=g.stats()["L"], seed=i)
             for i, n in enumerate(sizes)
         ]
-        for alg_name, runner in (("JM", _run_jm), ("TM", _run_tm), ("GM", None)):
+        for alg_name, alg in (("JM", jm), ("TM", tm), ("GM", None)):
             results = []
             for p in queries:
-                if runner is None:
+                if alg is None:
                     r = run_guarded(
-                        lambda gd, p=p: _run_gm(ctx, p).seconds,
+                        lambda gd, p=p: _run_gm(ctx, p, guard=gd).value,
                         time_limit_s=60.0,  # GM gets the paper's "always solves" budget
                     )
-                    r = RunResult(r.status, r.value if r.ok else r.seconds)
                 else:
-                    r = runner(ctx, p, time_limit)
+                    r = _run_baseline(alg, ctx, p, time_limit)
                 results.append(r)
             solved = [r for r in results if r.ok]
             t.rows.append(
@@ -254,7 +238,7 @@ def table5(
                 eh_probe_s, eh_s = f"{probe:.2f}", f"{pre + probe:.2f}"
             else:
                 eh_probe_s = eh_s = r_eh.status
-            r_neo = _run_neo4j(ctx, p)
+            r_neo = _run_baseline(neo4j, ctx, p)
             r_gm = _run_gm(ctx, p)
             t.rows.append(
                 [ds, f"CQ{tid}", eh_probe_s, eh_s, _fmt_run(r_neo), f"{r_gm.seconds:.2f}"]
@@ -353,7 +337,7 @@ def table18b(
         for k in label_counts:
             g, ctx, tc_ctx = bundles[k]
             p = instantiate(tid, qtype="D", n_labels=k, seed=1)
-            rows["Neo4j"].append(_fmt_run(_run_neo4j(ctx, p)))
+            rows["Neo4j"].append(_fmt_run(_run_baseline(neo4j, ctx, p)))
             r_gf = run_guarded(
                 lambda gd: gf(tc_ctx, child_only_on_closure(p), limit=MATCH_LIMIT, guard=gd).count(),
                 time_limit_s=TIME_LIMIT_S,
@@ -385,7 +369,7 @@ def table6(
     g, ctx = bench_ctx(spark, "em", scale)
     for tid in tids:
         p = instantiate(tid, qtype="H", n_labels=g.stats()["L"], seed=1)
-        r_neo = _run_neo4j(ctx, p)
+        r_neo = _run_baseline(neo4j, ctx, p)
         r_gm = _run_gm(ctx, p)
         t.rows.append([f"HQ{tid}", _fmt_run(r_neo), f"{r_gm.seconds:.2f}"])
     t.seconds = time.perf_counter() - t0

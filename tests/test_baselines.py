@@ -2,33 +2,41 @@
 import pytest
 
 from repro.baselines.engines import neo4j
-from repro.baselines.jm import edge_relations, jm, plan_left_deep
+from repro.baselines.jm import jm, plan_left_deep
 from repro.baselines.prefilter import prefilter_nodes
 from repro.baselines.tm import spanning_tree, tm
 from repro.core.gm import gm
+from repro.core.rig import expand_rig
 from repro.core.simulation import fb_sim
 from repro.harness.runner import run_guarded
+from repro.queries.pattern import CHILD, DESC, Pattern
 from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
 
 
-GRID = [(1, "C"), (6, "H"), (9, "D"), (8, "H"), (11, "C")]
+# Brute-force grid over the tiny graphs. The last pattern has a label no
+# tiny graph carries: its answer is empty, and so is its pre-filtered
+# cos(1), which drives RIG expansion's early termination.
+GRID = [
+    *(pytest.param(instantiate(tid, qtype=qtype, n_labels=5, seed=1), id=f"{tid}-{qtype}")
+      for tid, qtype in [(1, "C"), (6, "H"), (9, "D"), (8, "H"), (11, "C")]),
+    pytest.param(Pattern.of({0: "L0", 1: "NOPE", 2: "L1"},
+                            [(0, 1, CHILD), (1, 2, DESC), (0, 2, DESC)]), id="absent-label"),
+]
 
 
-@pytest.mark.parametrize("tid,qtype", GRID)
-def test_jm_matches_bruteforce(tiny_ctx_for, tid, qtype):
+@pytest.mark.parametrize("p", GRID)
+def test_jm_matches_bruteforce(tiny_ctx_for, p):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()
-    p = instantiate(tid, qtype=qtype, n_labels=5, seed=1)
     got = {tuple(r) for r in jm(ctx, p).collect()}
     assert got == homomorphisms(p, nodes, edges)
 
 
-@pytest.mark.parametrize("tid,qtype", GRID)
-def test_tm_matches_bruteforce(tiny_ctx_for, tid, qtype):
+@pytest.mark.parametrize("p", GRID)
+def test_tm_matches_bruteforce(tiny_ctx_for, p):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()
-    p = instantiate(tid, qtype=qtype, n_labels=5, seed=1)
     got = {tuple(r) for r in tm(ctx, p).collect()}
     assert got == homomorphisms(p, nodes, edges)
 
@@ -47,17 +55,18 @@ class TestPrefilter:
         # One-pass pre-filtering prunes less than the FB fixpoint (§4.2).
         g, ctx = tiny_ctx_for(1)
         p = instantiate(6, qtype="H", n_labels=5, seed=1)
-        pf = prefilter_nodes(ctx, p)
+        pf, counts = prefilter_nodes(ctx, p)
         sim = fb_sim(ctx, p, max_passes=None)
         for q in p.node_ids():
             pf_set = {r["id"] for r in pf[q].collect()}
             fb_set = {r["id"] for r in sim.fb[q].collect()}
             assert fb_set <= pf_set
+            assert counts[q] == pf[q].count()
 
     def test_subset_of_match_sets(self, tiny_ctx_for):
         g, ctx = tiny_ctx_for(1)
         p = instantiate(6, qtype="H", n_labels=5, seed=1)
-        pf = prefilter_nodes(ctx, p)
+        pf, _ = prefilter_nodes(ctx, p)
         for q in p.node_ids():
             ms = {r["id"] for r in ctx.ms_node(p, q).collect()}
             assert {r["id"] for r in pf[q].collect()} <= ms
@@ -85,10 +94,9 @@ class TestPlanning:
     def test_plan_covers_all_edges(self, tiny_ctx_for):
         g, ctx = tiny_ctx_for(0)
         p = instantiate(8, qtype="H", n_labels=5, seed=1)
-        rels = edge_relations(ctx, p)
-        card = {e: rels[e].count() for e in p.edges}
+        rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p))
         node_card = {q: ctx.ms_node(p, q).count() for q in p.node_ids()}
-        plan = plan_left_deep(p, card, node_card)
+        plan = plan_left_deep(p, rig.edge_counts, node_card)
         assert set(plan) == set(p.edges)
 
     def test_plan_prefix_connected(self, tiny_ctx_for):

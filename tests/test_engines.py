@@ -63,11 +63,10 @@ def test_eh_returns_answer_and_precompute_time(tiny_ctx_for):
     assert got == homomorphisms(p, nodes, edges)
 
 
-@pytest.mark.parametrize("tid,qtype", GRID)
-def test_neo4j_matches_bruteforce(tiny_ctx_for, tid, qtype):
+@pytest.mark.parametrize("p", GRID)
+def test_neo4j_matches_bruteforce(tiny_ctx_for, p):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()
-    p = instantiate(tid, qtype=qtype, n_labels=5, seed=1)
     got = {tuple(r) for r in neo4j(ctx, p).collect()}
     assert got == homomorphisms(p, nodes, edges)
 

@@ -6,6 +6,7 @@ produces a well-formed table and sane statuses quickly.
 import pytest
 
 from repro.harness import tables as T
+from repro.harness.runner import Guard
 
 
 def test_format_table_renders():
@@ -35,6 +36,19 @@ def test_table3_small(spark_):
     assert len(t.rows) == 3  # JM, TM, GM
     gm_row = next(r for r in t.rows if r[1] == "GM")
     assert gm_row[4] == 2  # GM solves both
+
+
+def test_table3_gm_budget_reaches_gm(spark_, monkeypatch):
+    # The 60 s GM budget binds only if run_guarded's guard reaches gm().
+    guards = []
+
+    def fake_gm(ctx, p, *, guard=None, **kw):
+        guards.append(guard)
+        return type("Res", (), {"count": lambda self: 0})()
+
+    monkeypatch.setattr(T, "gm", fake_gm)
+    T.table3(spark_, scale="test", datasets=("yt",), sizes=(4,), time_limit=6)
+    assert len(guards) == 1 and isinstance(guards[0], Guard)
 
 
 def test_table4_small(spark_):

@@ -10,9 +10,7 @@ from repro.queries.templates import instantiate
 def fake_rig(p: Pattern, node_counts=None, edge_counts=None) -> RIG:
     nc = node_counts or {q: 10 + q for q in p.node_ids()}
     ec = edge_counts or {e: 20 for e in p.edges}
-    return RIG(
-        pattern=p, cos={}, cos_edges={}, node_counts=nc, edge_counts=ec, sim=None
-    )
+    return RIG(pattern=p, cos={}, cos_edges={}, node_counts=nc, edge_counts=ec)
 
 
 @pytest.fixture

@@ -28,9 +28,13 @@ def test_fbsim_matches_naive_reference(tiny_ctx_for, p):
     assert got == expected
 
 
-@pytest.mark.parametrize("p", PATTERNS[:2], ids=lambda p: p.name)
-def test_bas_and_dag_agree_at_fixpoint(tiny_ctx_for, p):
-    g, ctx = tiny_ctx_for(1)
+@pytest.mark.parametrize(
+    "seed,p",
+    [pytest.param(1, p, id=p.name) for p in PATTERNS[:2]]
+    + [pytest.param(0, PATTERNS[1], id=f"{PATTERNS[1].name}-graph0")],
+)
+def test_bas_and_dag_agree_at_fixpoint(tiny_ctx_for, seed, p):
+    g, ctx = tiny_ctx_for(seed)
     bas = _fb_sets(fb_sim_bas(ctx, p, max_passes=None))
     dag = _fb_sets(fb_sim_dag(ctx, p, max_passes=None))
     assert bas == dag
