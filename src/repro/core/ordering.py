@@ -10,12 +10,16 @@
   the ordered prefix, tie-broken by edges to neighbours of the prefix,
   then by degree. Data-independent by design.
 * ``bj_order`` — BJ: exact dynamic programming over connected left-deep
-  orders, minimizing estimated intermediate cardinalities under an
-  independence model seeded with RIG node/edge counts. O(2^n) states —
-  the paper's point is that this is unscalable for tens of nodes, which
-  the guard in the Table 3/4 harness exposes.
+  orders, minimizing :func:`estimated_cost` (estimated intermediate
+  cardinalities under an independence model seeded with RIG node/edge
+  counts). O(2^n) states — the paper's point is that this is unscalable
+  for tens of nodes. A guard handed to ``gm`` bounds it with one tick
+  per DP state; no harness table passes one (Table 3 orders with JO,
+  Table 4 runs GM without a guard).
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.core.rig import RIG
 from repro.harness.runner import Guard
@@ -62,7 +66,7 @@ def _selectivity(rig: RIG) -> dict:
     return sel
 
 
-def estimated_cost(rig: RIG, order: list[int]) -> float:
+def estimated_cost(rig: RIG, order: Sequence[int]) -> float:
     """Sum of estimated intermediate sizes of a left-deep order.
 
     Independence model: card(prefix+q) = card(prefix) * |cos(q)| *
@@ -84,39 +88,29 @@ def estimated_cost(rig: RIG, order: list[int]) -> float:
 
 
 def bj_order(rig: RIG, *, guard: Guard | None = None) -> list[int]:
-    """Exact DP over connected left-deep orders (exponential in n)."""
+    """Exact DP over connected left-deep orders (exponential in n).
+
+    A prefix's cardinality depends only on its node set, so the cheapest
+    order of each bound-node set extends to the cheapest full order.
+    """
     p = rig.pattern
     ids = p.node_ids()
-    idx = {q: i for i, q in enumerate(ids)}
-    nb_mask = {
-        q: sum(1 << idx[nb] for nb in p.neighbors(q)) for q in ids
-    }
-    sel = _selectivity(rig)
-    # state: frozen set of bound nodes (bitmask) -> (cost, card, order)
-    states: dict[int, tuple[float, float, tuple[int, ...]]] = {}
-    for q in ids:
-        c = float(max(1, rig.node_counts[q]))
-        states[1 << idx[q]] = (c, c, (q,))
+    # state: set of bound nodes -> (cost, order) of its cheapest prefix
+    states = {frozenset({q}): (estimated_cost(rig, (q,)), (q,)) for q in ids}
     for _ in range(len(ids) - 1):
-        nxt_states: dict[int, tuple[float, float, tuple[int, ...]]] = {}
-        for mask, (cost, card, order) in states.items():
+        nxt_states: dict[frozenset, tuple[float, tuple[int, ...]]] = {}
+        for bound, (_, order) in states.items():
             if guard is not None:
                 guard.tick()
             for q in ids:
-                b = 1 << idx[q]
-                if mask & b or not (nb_mask[q] & mask):
+                if q in bound or not p.neighbors(q) & bound:
                     continue
-                new_card = card * max(1, rig.node_counts[q])
-                for e in p.incident(q):
-                    other = e.dst if e.src == q else e.src
-                    if mask & (1 << idx[other]):
-                        new_card *= sel[e]
-                key = mask | b
-                new_cost = cost + new_card
-                if key not in nxt_states or new_cost < nxt_states[key][0]:
-                    nxt_states[key] = (new_cost, new_card, order + (q,))
+                key = bound | {q}
+                cost = estimated_cost(rig, order + (q,))
+                if key not in nxt_states or cost < nxt_states[key][0]:
+                    nxt_states[key] = (cost, order + (q,))
         states = nxt_states
-    return list(states[(1 << len(ids)) - 1][2])
+    return list(states[frozenset(ids)][1])
 
 
 def pick_order(method: str, rig: RIG, *, guard: Guard | None = None) -> list[int]:

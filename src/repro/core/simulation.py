@@ -9,14 +9,16 @@ backward (every in-edge has a matching predecessor/ancestor) conditions
 We keep one candidate DataFrame ``FB(q) = (id)`` per query node and
 prune it with semi-joins against ``ms(e)`` relations until a fixpoint:
 
-* :func:`fb_sim_bas` — FBSimBas: per pass, forward-prune every edge in
-  arbitrary (insertion) order, then backward-prune every edge.
-* :func:`fb_sim_dag` — FBSimDag: per pass, traverse query nodes in
-  reverse topological order (forward sim) then topological order
-  (backward sim). Same fixpoint, fewer passes in practice (paper §4.4).
-* :func:`fb_sim` — FBSim / "Dag+Δ": decompose a cyclic pattern into a
-  spanning DAG plus back edges, alternate FBSimDag passes on the DAG
-  with FBSimBas passes on the back edges.
+* :func:`fb_sim_bas` — FBSimBas (Algorithm 1): per pass, forward-prune
+  every edge in arbitrary (insertion) order, then backward-prune every
+  edge. Kept as the reference FBSim is checked against.
+* :func:`fb_sim` — FBSim / "Dag+Δ" (Algorithm 3): decompose the pattern
+  into a spanning DAG plus back edges; per pass, run the FBSimDag sweep
+  (Algorithm 2: query nodes in reverse topological order for forward
+  simulation, then in topological order for backward simulation) over
+  the DAG edges, then a FBSimBas sweep over the back edges. A DAG
+  pattern has no back edges, so there FBSim is exactly FBSimDag. Same
+  fixpoint as FBSimBas, fewer passes in practice (paper §4.4).
 
 Candidates shrink monotonically, so per-node cardinalities are a
 sufficient convergence certificate; each pass materializes candidates
@@ -46,7 +48,6 @@ class SimResult:
     counts: dict[int, int]
     passes: int
     converged: bool
-    algorithm: str = "fbsim"
 
     @property
     def empty(self) -> bool:
@@ -117,9 +118,7 @@ def _dag_sweep(ctx: MatchContext, p: Pattern, fb: dict, dag: Pattern, topo) -> N
             _backward_prune(ctx, p, fb, e)
 
 
-def _run_passes(
-    ctx, p, one_pass, *, max_passes, guard: Guard | None, algorithm: str
-) -> SimResult:
+def _run_passes(ctx, p, one_pass, *, max_passes, guard: Guard | None) -> SimResult:
     """Shared driver loop: init, iterate ``one_pass`` until stable."""
     fb, counts = checkpoint_and_count({q: ctx.ms_node(p, q) for q in p.node_ids()})
     passes = 0
@@ -137,7 +136,7 @@ def _run_passes(
             converged = True
             break
         counts = new_counts
-    return SimResult(fb=fb, counts=counts, passes=passes, converged=converged, algorithm=algorithm)
+    return SimResult(fb=fb, counts=counts, passes=passes, converged=converged)
 
 
 def fb_sim_bas(
@@ -147,21 +146,7 @@ def fb_sim_bas(
     """FBSimBas (Algorithm 1): edge-order forward then backward prunes."""
     return _run_passes(
         ctx, p, lambda fb: _bas_sweep(ctx, p, fb, p.edges),
-        max_passes=max_passes, guard=guard, algorithm="bas",
-    )
-
-
-def fb_sim_dag(
-    ctx: MatchContext, p: Pattern, *, max_passes: int | None = None,
-    guard: Guard | None = None,
-) -> SimResult:
-    """FBSimDag (Algorithm 2): topological-order passes, DAG patterns only."""
-    topo = p.topological_order()
-    if topo is None:
-        raise ValueError("FBSimDag requires a DAG pattern; use fb_sim")
-    return _run_passes(
-        ctx, p, lambda fb: _dag_sweep(ctx, p, fb, p, topo),
-        max_passes=max_passes, guard=guard, algorithm="dag",
+        max_passes=max_passes, guard=guard,
     )
 
 
@@ -169,15 +154,10 @@ def fb_sim(
     ctx: MatchContext, p: Pattern, *, max_passes: int | None = None,
     guard: Guard | None = None,
 ) -> SimResult:
-    """FBSim (Algorithm 3): FBSimDag when Q is a DAG, else Dag+Δ.
-
-    For cyclic patterns: one combined pass runs a DAG-ordered sweep over
-    the spanning-DAG edges followed by a FBSimBas-style sweep over the
-    back edges; the outer loop repeats until FB stabilizes.
+    """FBSim (Algorithm 3), "Dag+Δ": a DAG-ordered sweep over the
+    spanning-DAG edges, then a FBSimBas sweep over the back edges (none
+    when Q is a DAG), repeated until FB stabilizes.
     """
-    if p.is_dag():
-        return fb_sim_dag(ctx, p, max_passes=max_passes, guard=guard)
-
     dag_edges, back_edges = p.dag_decomposition()
     p_dag = p.with_edges(dag_edges)
     topo = p_dag.topological_order()
@@ -186,4 +166,4 @@ def fb_sim(
         _dag_sweep(ctx, p, fb, p_dag, topo)
         _bas_sweep(ctx, p, fb, back_edges)
 
-    return _run_passes(ctx, p, one_pass, max_passes=max_passes, guard=guard, algorithm="dag+delta")
+    return _run_passes(ctx, p, one_pass, max_passes=max_passes, guard=guard)

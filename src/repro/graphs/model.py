@@ -51,12 +51,10 @@ class Graph:
         return self._label_cache[label]
 
     def stats(self) -> dict:
-        """Table-2 style statistics: |V|, |E|, |L|, average degree.
+        """Table-2 style statistics: |V|, |E|, |L| and average degrees.
 
-        ``d_avg`` follows the paper's convention of undirected average
-        degree ``2|E|/|V|`` (matches the published numbers, e.g. Email
-        265K nodes / 420K edges -> 2.6 after halving... the paper lists
-        |E|/|V|-ish values; we report both directions to be explicit).
+        ``d_avg`` is the undirected average degree ``2|E|/|V|``;
+        ``d_out`` is the average out-degree ``|E|/|V|``. Three Spark jobs.
         """
         v = self.nodes.count()
         e = self.edges.count()

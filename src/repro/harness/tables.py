@@ -145,8 +145,9 @@ def table3(
     )
     for ds in datasets:
         g, ctx = bench_ctx(spark, ds, scale)
+        n_labels = g.stats()["L"]
         queries = [
-            random_pattern(n_nodes=n, qtype="D", n_labels=g.stats()["L"], seed=i)
+            random_pattern(n_nodes=n, qtype="D", n_labels=n_labels, seed=i)
             for i, n in enumerate(sizes)
         ]
         for alg_name, alg in (("JM", jm), ("TM", tm), ("GM", None)):
@@ -191,10 +192,11 @@ def table4(
         "Table 4: search ordering (GM-RI / GM-JO / GM-BJ)",
         ["Query", "Dataset", "GM-RI", "GM-JO", "GM-BJ"],
     )
+    n_labels = {ds: bench_ctx(spark, ds, scale)[0].stats()["L"] for ds in datasets}
     for tid in tids:
         for ds in datasets:
             g, ctx = bench_ctx(spark, ds, scale)
-            p = instantiate(tid, qtype="H", n_labels=g.stats()["L"], seed=1)
+            p = instantiate(tid, qtype="H", n_labels=n_labels[ds], seed=1)
             row = [f"HQ{tid}", ds]
             for method in ("ri", "jo", "bj"):
                 r = _run_gm(ctx, p, order_method=method)
@@ -223,8 +225,9 @@ def table5(
     )
     for ds in datasets:
         g, ctx = bench_ctx(spark, ds, scale)
+        n_labels = g.stats()["L"]
         for tid in tids:
-            p = instantiate(tid, qtype="C", n_labels=g.stats()["L"], seed=1)
+            p = instantiate(tid, qtype="C", n_labels=n_labels, seed=1)
 
             def run_eh(gd):
                 df, pre = eh(ctx, p, limit=MATCH_LIMIT, guard=gd)
@@ -367,8 +370,9 @@ def table6(
         ["Query", "Neo4j", "GM"],
     )
     g, ctx = bench_ctx(spark, "em", scale)
+    n_labels = g.stats()["L"]
     for tid in tids:
-        p = instantiate(tid, qtype="H", n_labels=g.stats()["L"], seed=1)
+        p = instantiate(tid, qtype="H", n_labels=n_labels, seed=1)
         r_neo = _run_baseline(neo4j, ctx, p)
         r_gm = _run_gm(ctx, p)
         t.rows.append([f"HQ{tid}", _fmt_run(r_neo), f"{r_gm.seconds:.2f}"])

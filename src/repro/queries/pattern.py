@@ -7,7 +7,7 @@ edge-to-path mapped); a pattern with both kinds is *hybrid*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CHILD = "child"
 DESC = "desc"
@@ -35,7 +35,6 @@ class Pattern:
     labels: tuple[tuple[int, str], ...]  # (node_id, label), node ids unique
     edges: tuple[PEdge, ...]
     name: str = "Q"
-    _adj: dict = field(default=None, compare=False, hash=False, repr=False)
 
     @staticmethod
     def of(labels: dict[int, str], edges, name: str = "Q") -> "Pattern":
@@ -117,14 +116,12 @@ class Pattern:
             ready.sort()
         return order if len(order) == self.n_nodes() else None
 
-    def has_path(self, x: int, y: int, *, excluding: PEdge | None = None) -> bool:
-        """Directed path from x to y, optionally ignoring one edge."""
+    def has_path(self, x: int, y: int) -> bool:
+        """Directed path from x to y."""
         stack, seen = [x], {x}
         while stack:
             q = stack.pop()
             for e in self.out_edges(q):
-                if e == excluding:
-                    continue
                 if e.dst == y:
                     return True
                 if e.dst not in seen:

@@ -1,4 +1,6 @@
 """Tests for search-order strategies (§5.2) — driver-side via fake RIGs."""
+from itertools import permutations
+
 import pytest
 
 from repro.core.ordering import bj_order, estimated_cost, jo_order, pick_order, ri_order
@@ -76,6 +78,25 @@ class TestBJ:
         p = instantiate(13, qtype="C", n_labels=5, seed=1)
         rig = fake_rig(p)
         assert sorted(bj_order(rig)) == p.node_ids()
+
+    @pytest.mark.parametrize(
+        "p",
+        [instantiate(6, qtype="H", n_labels=5, seed=0), instantiate(13, qtype="C", n_labels=5, seed=1)],
+        ids=["diamond", "CQ13"],
+    )
+    def test_bj_matches_bruteforce_minimum(self, p):
+        # BJ is exact: no connected left-deep order has a lower estimate.
+        rig = fake_rig(
+            p,
+            node_counts={q: 3 + 7 * q % 11 for q in p.node_ids()},
+            edge_counts={e: 5 + 3 * i for i, e in enumerate(p.edges)},
+        )
+        connected = [
+            o for o in permutations(p.node_ids())
+            if all(p.neighbors(o[i]) & set(o[:i]) for i in range(1, len(o)))
+        ]
+        best = min(estimated_cost(rig, o) for o in connected)
+        assert estimated_cost(rig, bj_order(rig)) == pytest.approx(best)
 
 
 class TestEstimatedCost:

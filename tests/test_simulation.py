@@ -1,7 +1,7 @@
 """Tests for double simulation (§4.2-4.4) against the naive reference."""
 import pytest
 
-from repro.core.simulation import fb_sim, fb_sim_bas, fb_sim_dag
+from repro.core.simulation import fb_sim, fb_sim_bas
 from repro.queries.pattern import CHILD, DESC, Pattern
 from repro.queries.templates import instantiate
 from tests.bruteforce import double_simulation, homomorphisms
@@ -30,28 +30,20 @@ def test_fbsim_matches_naive_reference(tiny_ctx_for, p):
 
 @pytest.mark.parametrize(
     "seed,p",
-    [pytest.param(1, p, id=p.name) for p in PATTERNS[:2]]
+    [pytest.param(1, p, id=p.name) for p in PATTERNS[:3]]
     + [pytest.param(0, PATTERNS[1], id=f"{PATTERNS[1].name}-graph0")],
 )
 def test_bas_and_dag_agree_at_fixpoint(tiny_ctx_for, seed, p):
     g, ctx = tiny_ctx_for(seed)
     bas = _fb_sets(fb_sim_bas(ctx, p, max_passes=None))
-    dag = _fb_sets(fb_sim_dag(ctx, p, max_passes=None))
+    dag = _fb_sets(fb_sim(ctx, p, max_passes=None))
     assert bas == dag
 
 
-def test_dag_rejects_cyclic_pattern(tiny_ctx_for):
-    _, ctx = tiny_ctx_for(0)
-    p = instantiate(9, qtype="C", n_labels=5, seed=0)  # directed cycle
-    with pytest.raises(ValueError):
-        fb_sim_dag(ctx, p)
-
-
-def test_fbsim_dispatches_dag_delta_for_cyclic(tiny_ctx_for):
+def test_fbsim_converges_on_cyclic_pattern(tiny_ctx_for):
     _, ctx = tiny_ctx_for(0)
     p = instantiate(9, qtype="C", n_labels=5, seed=0)
     sim = fb_sim(ctx, p, max_passes=None)
-    assert sim.algorithm == "dag+delta"
     assert sim.converged
 
 
@@ -104,9 +96,10 @@ def test_counts_match_dataframes(tiny_ctx_for):
 
 
 def test_dag_converges_no_slower_than_bas(tiny_ctx_for):
-    # §4.4: FBSimDag needs no more passes than FBSimBas on DAG patterns.
+    # §4.4: on a DAG pattern FBSim is FBSimDag, which needs no more
+    # passes than FBSimBas.
     _, ctx = tiny_ctx_for(2)
     p = instantiate(2, qtype="H", n_labels=5, seed=2)
     bas = fb_sim_bas(ctx, p, max_passes=None)
-    dag = fb_sim_dag(ctx, p, max_passes=None)
+    dag = fb_sim(ctx, p, max_passes=None)
     assert dag.passes <= bas.passes
