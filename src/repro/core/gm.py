@@ -8,6 +8,11 @@ evaluation tables:
 * ``gm-f``  — no double simulation; RIG from pre-filtered match sets
   (one-pass node pre-filter [11,63]) — larger RIG, slower enumeration.
 * ``gm-nr`` — skip the pattern transitive reduction (Fig. 15 ablation).
+
+GM and GM-NR simulate, build the RIG and enumerate on the driver when
+the query's match sets fit there (repro.core.local), and on Spark
+otherwise; ``GMResult.substrate`` says which. GM-F's pre-filtered sets
+are DataFrames, so it always runs on Spark.
 """
 from __future__ import annotations
 
@@ -30,16 +35,31 @@ VARIANTS = ("gm", "gm-f", "gm-nr")
 
 @dataclass
 class GMResult:
-    """Answer DataFrame plus the phase metrics the paper reports."""
+    """Answer DataFrame plus the phase metrics the paper reports.
+
+    ``substrate`` is ``"local"`` when the RIG was built on the driver and
+    ``"spark"`` otherwise; it is read off the RIG, not passed in.
+    """
 
     df: DataFrame
     rig: RIG
     order: list[int]
     pattern: Pattern
     timings: dict[str, float] = field(default_factory=dict)
+    substrate: str = field(init=False)
+
+    def __post_init__(self):
+        self.substrate = self.rig.substrate
 
     def count(self) -> int:
-        return self.df.count()
+        """Run the answer plan and count it; the seconds go to ``timings["count"]``.
+
+        On the driver the answers are listed already, and no job runs.
+        """
+        t0 = time.perf_counter()
+        n = self.df.count()
+        self.timings["count"] = time.perf_counter() - t0
+        return n
 
 
 def gm(

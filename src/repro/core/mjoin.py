@@ -12,17 +12,30 @@ materializing a partial result that violates any constraint among
 bound nodes. This is the worst-case-optimal, node-at-a-time join style
 (vs. JM's edge-at-a-time binary joins, repro.baselines.jm).
 
+A RIG built on the driver (``rig.cos`` is a ``LocalSets``, see
+repro.core.local) is enumerated there instead, as Algorithm 5 itself:
+backtracking along the order, where the candidates of q_i are the
+sorted intersection of the bound neighbours' RIG adjacency lists. It
+stops after ``limit`` answers, so a capped run lists the same rows
+every time, and returns them as a DataFrame.
+
 Output columns are ``q{node_id}`` (one per pattern node), matching the
 oracle SQL of repro.queries.sql, so results diff directly.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.local import LocalSets, answer_frame
 from repro.core.rig import RIG
 from repro.harness.runner import Guard
 from repro.queries.sql import col_name
+
+# Driver-side enumeration ticks the guard every this many extensions at
+# one depth, so a time budget binds while a large answer is listed.
+TICK_EVERY = 4096
 
 
 def _edge_rel(rig: RIG, e, new_is_dst: bool) -> DataFrame:
@@ -57,10 +70,13 @@ def mjoin(
     multi-way join over a near-complete reachability closure cannot
     blow up mid-plan. Only for capped-enumeration harness runs — with
     a cap the result is a subset of Q(G), never a superset;
-    correctness tests must not set it.
+    correctness tests must not set it. Driver-side enumeration stops
+    at ``limit`` by itself and ignores it.
     """
     p = rig.pattern
     assert sorted(order) == sorted(p.node_ids()), "order must permute query nodes"
+    if isinstance(rig.cos, LocalSets):
+        return _mjoin_local(rig, order, limit=limit, guard=guard)
     first = order[0]
     partial = rig.cos[first].select(F.col("id").alias(col_name(first)))
     bound = [first]
@@ -71,8 +87,9 @@ def mjoin(
             if (e.src if e.dst == q else e.dst) in bound
         ]
         if not incident:
-            # Disconnected prefix (only for pathological orders):
-            # Cartesian extension, as in Algorithm 5 with empty N_i.
+            # No bound neighbour: q ranges over all of cos(q), a Cartesian
+            # extension as in Algorithm 5 with empty N_i. JO, RI and BJ
+            # orders are connected; a caller-supplied order need not be.
             partial = partial.crossJoin(
                 rig.cos[q].select(F.col("id").alias(col_name(q)))
             )
@@ -106,3 +123,68 @@ def mjoin(
     if limit is not None:
         out = out.limit(limit)
     return out
+
+
+def _adjacency(rows: np.ndarray, new_is_dst: bool) -> dict[int, np.ndarray]:
+    """cos(e) as bound id -> sorted ids of its partners on the new side."""
+    bound, new = (rows[:, 0], rows[:, 1]) if new_is_dst else (rows[:, 1], rows[:, 0])
+    by_bound = np.lexsort((new, bound))
+    bound, new = bound[by_bound], new[by_bound]
+    keys, starts = np.unique(bound, return_index=True)
+    ends = np.append(starts[1:], len(bound))
+    return {k: new[a:b] for k, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist())}
+
+
+def _mjoin_local(rig: RIG, order: list[int], *, limit, guard) -> DataFrame:
+    """Algorithm 5 on the driver: backtracking with sorted-array intersection.
+
+    At depth i the candidates of q_i are the intersection of the
+    adjacency lists of its bound neighbours (a node with none ranges
+    over all of cos(q_i)). cos(e) is already semi-joined to cos(q_i), so
+    no extra filter is needed. The guard is ticked every ``TICK_EVERY``
+    extensions at a depth and, at the end, once per depth with its
+    partial-match count, as Spark's guarded MJoin ticks per step.
+    """
+    p = rig.pattern
+    pos = {q: i for i, q in enumerate(order)}
+    steps = []  # per depth: (adjacency, depth of the bound end) per incident edge
+    for i, q in enumerate(order):
+        steps.append([
+            (_adjacency(rig.cos_edges[e], e.dst == q), pos[e.src if e.dst == q else e.dst])
+            for e in p.incident(q)
+            if pos[e.src if e.dst == q else e.dst] < i
+        ])
+    none = np.empty(0, dtype=np.int64)
+    binding = [0] * len(order)
+    partial = [0] * len(order)  # partial matches reached at each depth
+    answers: list[list[int]] = []
+
+    def extend(i: int) -> bool:
+        """Bind depths i.. in every way; True once ``limit`` answers exist."""
+        if i == len(order):
+            answers.append(binding.copy())
+            return limit is not None and len(answers) >= limit
+        if not steps[i]:
+            cand = rig.cos[order[i]]
+        else:
+            (adj, j), *rest = steps[i]
+            cand = adj.get(binding[j], none)
+            for adj, j in rest:
+                cand = np.intersect1d(cand, adj.get(binding[j], none), assume_unique=True)
+        for v in cand.tolist():
+            binding[i] = v
+            partial[i] += 1
+            if guard is not None and partial[i] % TICK_EVERY == 0:
+                guard.tick(max(partial))
+            if extend(i + 1):
+                return True
+        return False
+
+    if limit != 0:
+        extend(0)
+    if guard is not None:
+        for n in partial[1:]:
+            guard.tick(n)
+    rows = np.array(answers, dtype=np.int64).reshape(len(answers), len(order))
+    return answer_frame(rows[:, [pos[q] for q in p.node_ids()]],
+                        [col_name(q) for q in p.node_ids()])

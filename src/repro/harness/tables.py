@@ -21,6 +21,7 @@ from repro.baselines.engines import build_catalog, child_only_on_closure, eh, gf
 from repro.baselines.jm import jm
 from repro.baselines.tm import tm
 from repro.core.gm import gm
+from repro.core.local import LOCAL_MAX_ROWS
 from repro.core.matchsets import MatchContext
 from repro.graphs.datasets import (
     PAPER_STATS,
@@ -38,6 +39,10 @@ TIME_LIMIT_S = 8.0
 ROW_CAP = 2_000_000
 MATCH_LIMIT = 20_000
 CATALOG_CAP = 470_000  # GF catalog footprint cap (entries); see engines.py
+SUBSTRATES_NOTE = (
+    f"GM runs on the driver when a query's ms(q) and ms(e) total at most "
+    f"{LOCAL_MAX_ROWS} rows, on Spark otherwise; JM, TM, Neo4j, GF and EH run on Spark."
+)
 
 
 @dataclass
@@ -83,10 +88,11 @@ def _fmt_run(r: RunResult) -> str:
 def _run_gm(ctx, p, **kw) -> RunResult:
     """GM with capped enumeration (paper: first 10^7 matches; here MATCH_LIMIT).
 
-    ``partial_cap`` is the set-oriented analogue of bounded backtracking
-    enumeration — without it, a lazy multi-way join over a near-complete
-    closure would compute the full (astronomical) answer before the
-    limit applies.
+    On the driver, enumeration is backtracking that stops after
+    MATCH_LIMIT answers. ``partial_cap`` binds only on the Spark path,
+    as the set-oriented analogue of that bounded backtracking — without
+    it, a lazy multi-way join over a near-complete closure would compute
+    the full (astronomical) answer before the limit applies.
     """
     t0 = time.perf_counter()
     res = gm(ctx, p, limit=MATCH_LIMIT, partial_cap=2 * MATCH_LIMIT, **kw)
@@ -141,7 +147,7 @@ def table3(
         "Table 3: large D-queries (JM/TM/GM)",
         ["Dataset", "Alg", "TimeOut", "OutOfMem", "Solved", "AvgSolved(s)"],
         notes=f"{len(sizes)} random D-queries of {min(sizes)}..{max(sizes)} nodes; "
-        f"limits: {time_limit}s, {ROW_CAP} intermediate rows.",
+        f"limits: {time_limit}s, {ROW_CAP} intermediate rows. {SUBSTRATES_NOTE}",
     )
     for ds in datasets:
         g, ctx = bench_ctx(spark, ds, scale)
@@ -191,6 +197,7 @@ def table4(
     t = TableResult(
         "Table 4: search ordering (GM-RI / GM-JO / GM-BJ)",
         ["Query", "Dataset", "GM-RI", "GM-JO", "GM-BJ"],
+        notes=SUBSTRATES_NOTE,
     )
     n_labels = {ds: bench_ctx(spark, ds, scale)[0].stats()["L"] for ds in datasets}
     for tid in tids:
@@ -221,7 +228,8 @@ def table5(
     t = TableResult(
         "Table 5: C-queries vs engines (EH / Neo4j / GM)",
         ["Dataset", "Query", "EH-probe", "EH", "Neo4j", "GM"],
-        notes="EH = probe + per-query precomputation; statuses TO/OM as in the paper.",
+        notes="EH = probe + per-query precomputation; statuses TO/OM as in the paper. "
+        + SUBSTRATES_NOTE,
     )
     for ds in datasets:
         g, ctx = bench_ctx(spark, ds, scale)
@@ -325,6 +333,7 @@ def table18b(
     t = TableResult(
         "Fig 18(b): D-queries vs #labels on Email fragment",
         ["Query", "Alg"] + [f"#lbs={k}" for k in label_counts],
+        notes=SUBSTRATES_NOTE,
     )
     bundles = {}
     for k in label_counts:
@@ -368,6 +377,7 @@ def table6(
     t = TableResult(
         "Table 6: H-queries Neo4j vs GM (em fragment)",
         ["Query", "Neo4j", "GM"],
+        notes=SUBSTRATES_NOTE,
     )
     g, ctx = bench_ctx(spark, "em", scale)
     n_labels = g.stats()["L"]

@@ -4,7 +4,8 @@ The root conftest provides the session-scoped ``spark`` fixture. Here we
 add per-session caches so the expensive pieces (graph generation,
 transitive closure) are computed once per (dataset, scale) across the
 whole test session, plus small hand-rolled graphs for brute-force
-comparisons.
+comparisons, and ``substrates``, which runs a check on both of GM's
+substrates.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import local
 from repro.core.matchsets import MatchContext
 from repro.graphs.datasets import load_dataset
 from repro.graphs.model import Graph, graph_from_pandas
@@ -62,3 +64,26 @@ def tiny_ctx_for(spark):
         return _TINY_CACHE[key]
 
     return get
+
+
+# LOCAL_MAX_ROWS that forces each substrate: 0 keeps every query with a
+# non-empty match set on Spark; a billion sends every test query to the
+# driver.
+SUBSTRATES = {"spark": 0, "local": 10**9}
+
+
+@pytest.fixture
+def substrates(monkeypatch):
+    """``for s in substrates(): ...`` runs the body once per substrate.
+
+    Each iteration sets ``LOCAL_MAX_ROWS`` so that GM's simulation, RIG
+    and MJoin run on substrate ``s``. Looping inside one test keeps the
+    test's id while checking both substrates.
+    """
+
+    def each():
+        for name, cap in SUBSTRATES.items():
+            monkeypatch.setattr(local, "LOCAL_MAX_ROWS", cap)
+            yield name
+
+    return each

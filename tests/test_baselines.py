@@ -12,6 +12,7 @@ from repro.harness.runner import run_guarded
 from repro.queries.pattern import CHILD, DESC, Pattern
 from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
+from tests.sets import id_set
 
 
 # Brute-force grid over the tiny graphs. The last pattern has a label no
@@ -58,9 +59,8 @@ class TestPrefilter:
         pf, counts = prefilter_nodes(ctx, p)
         sim = fb_sim(ctx, p, max_passes=None)
         for q in p.node_ids():
-            pf_set = {r["id"] for r in pf[q].collect()}
-            fb_set = {r["id"] for r in sim.fb[q].collect()}
-            assert fb_set <= pf_set
+            pf_set = id_set(pf[q])
+            assert id_set(sim.fb[q]) <= pf_set
             assert counts[q] == pf[q].count()
 
     def test_subset_of_match_sets(self, tiny_ctx_for):
