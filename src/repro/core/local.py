@@ -5,8 +5,10 @@ memory, over adjacency bitmaps of a RIG far smaller than the graph.
 Here the reachability closure and every ``ms(e)`` stay Spark
 DataFrames, since they are data-sized. When a query's ``ms(q)`` and
 ``ms(e)`` total at most :data:`LOCAL_MAX_ROWS` rows, ``fb_sim`` collects
-them in one Spark action (``repro.core.simulation.collect_match_sets``,
-the only place the choice is made) into a :class:`LocalSets`. From then
+them into a :class:`LocalSets`; one Spark job counts them first, and a
+second collects them only when they fit
+(``repro.core.simulation.collect_match_sets``, the only place the
+choice is made). From then
 on the sets' type picks the implementation: ``fb_sim``, ``expand_rig``
 and ``mjoin`` work on numpy arrays when handed a :class:`LocalSets` and
 on DataFrames otherwise. The answers go back to Spark through
@@ -21,11 +23,18 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.queries.pattern import PEdge
 
 # The most rows a query's ms(q) and ms(e) may total and still go to the
-# driver. A row is two int64 ids, so the arrays stay under ~16 MB, and a
-# numpy semi-join over them takes milliseconds where one Spark
-# simulation pass costs 1-3 s of job launches. Above it the sets stay
-# in Spark, which scales with the data rather than with driver memory.
-LOCAL_MAX_ROWS = 1_000_000
+# driver. It bounds driver memory, not time. In a probe on 4 cores with
+# the benchmark's Spark settings (1 GB driver), GM listed a 4-cycle
+# C-query over 2-label random graphs (limit 20,000) on both paths:
+# with 1.2e5 / 5.8e5 / 1.2e6 match-set rows the driver path took
+# 2.2-2.9 / 12.6 / 25 s and the Spark path 59-68 / 336 / 549 s, so no
+# crossover showed. With 2.9e6 rows the driver path alone was run: 68 s,
+# the Python process peaking at 424 MB, about 85 bytes per row above
+# the 1.2e5-row run. The next size, a 1.6e6-node graph, ran the 1 GB
+# driver out of heap while it was loaded, before GM started. So the limit
+# is the largest size measured, not a measured crossover. Above it the
+# sets stay in Spark, which scales with the executors, not the driver.
+LOCAL_MAX_ROWS = 3_000_000
 
 
 class LocalSets(dict):

@@ -17,7 +17,9 @@ repro.core.local) is enumerated there instead, as Algorithm 5 itself:
 backtracking along the order, where the candidates of q_i are the
 sorted intersection of the bound neighbours' RIG adjacency lists. It
 stops after ``limit`` answers, so a capped run lists the same rows
-every time, and returns them as a DataFrame.
+every time, and returns them as a DataFrame. ``partial_cap`` bounds
+each depth's partial matches there as the in-plan limit bounds each
+partial relation on Spark.
 
 Output columns are ``q{node_id}`` (one per pattern node), matching the
 oracle SQL of repro.queries.sql, so results diff directly.
@@ -71,12 +73,13 @@ def mjoin(
     blow up mid-plan. Only for capped-enumeration harness runs — with
     a cap the result is a subset of Q(G), never a superset;
     correctness tests must not set it. Driver-side enumeration stops
-    at ``limit`` by itself and ignores it.
+    once a depth has reached ``partial_cap`` partial matches, so at
+    most ``len(order) * partial_cap`` extensions run.
     """
     p = rig.pattern
     assert sorted(order) == sorted(p.node_ids()), "order must permute query nodes"
     if isinstance(rig.cos, LocalSets):
-        return _mjoin_local(rig, order, limit=limit, guard=guard)
+        return _mjoin_local(rig, order, limit=limit, guard=guard, partial_cap=partial_cap)
     first = order[0]
     partial = rig.cos[first].select(F.col("id").alias(col_name(first)))
     bound = [first]
@@ -135,15 +138,19 @@ def _adjacency(rows: np.ndarray, new_is_dst: bool) -> dict[int, np.ndarray]:
     return {k: new[a:b] for k, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist())}
 
 
-def _mjoin_local(rig: RIG, order: list[int], *, limit, guard) -> DataFrame:
+def _mjoin_local(rig: RIG, order: list[int], *, limit, guard, partial_cap) -> DataFrame:
     """Algorithm 5 on the driver: backtracking with sorted-array intersection.
 
     At depth i the candidates of q_i are the intersection of the
     adjacency lists of its bound neighbours (a node with none ranges
     over all of cos(q_i)). cos(e) is already semi-joined to cos(q_i), so
-    no extra filter is needed. The guard is ticked every ``TICK_EVERY``
-    extensions at a depth and, at the end, once per depth with its
-    partial-match count, as Spark's guarded MJoin ticks per step.
+    no extra filter is needed. Enumeration stops after ``limit``
+    answers, or once a depth has bound q_i ``partial_cap`` times: the
+    Spark path's in-plan limit likewise keeps the first ``partial_cap``
+    rows of each partial relation, and the answers are then a subset of
+    Q(G). The guard is ticked every ``TICK_EVERY`` extensions at a depth
+    and, at the end, once per depth with its partial-match count, as
+    Spark's guarded MJoin ticks per step.
     """
     p = rig.pattern
     pos = {q: i for i, q in enumerate(order)}
@@ -160,7 +167,7 @@ def _mjoin_local(rig: RIG, order: list[int], *, limit, guard) -> DataFrame:
     answers: list[list[int]] = []
 
     def extend(i: int) -> bool:
-        """Bind depths i.. in every way; True once ``limit`` answers exist."""
+        """Bind depths i.. in every way; True once enumeration must stop."""
         if i == len(order):
             answers.append(binding.copy())
             return limit is not None and len(answers) >= limit
@@ -172,6 +179,8 @@ def _mjoin_local(rig: RIG, order: list[int], *, limit, guard) -> DataFrame:
             for adj, j in rest:
                 cand = np.intersect1d(cand, adj.get(binding[j], none), assume_unique=True)
         for v in cand.tolist():
+            if partial_cap is not None and partial[i] >= partial_cap:
+                return True  # every further answer needs one more binding here
             binding[i] = v
             partial[i] += 1
             if guard is not None and partial[i] % TICK_EVERY == 0:

@@ -20,16 +20,16 @@ semi-joins against ``ms(e)`` until a fixpoint:
   pattern has no back edges, so there FBSim is exactly FBSimDag. Same
   fixpoint as FBSimBas, fewer passes in practice (paper §4.4).
 
-FBSim first tries to collect the query's match sets to the driver
-(:func:`collect_match_sets`, see :mod:`repro.core.local`). When they
-fit, the passes prune sorted numpy arrays; otherwise they prune
-``(id)`` DataFrames, materialized per pass via ``localCheckpoint`` to
-keep Catalyst plans bounded. Both run the same sweep order, pass cap
-and guard ticks. Candidates shrink monotonically, so per-node
-cardinalities are a sufficient convergence certificate. ``max_passes``
-implements §4.5's approximation (the paper fixes N=3: most redundant
-nodes die in the first 2-3 passes); ``None`` runs to the exact
-fixpoint. Approximation never loses answers — any superset of os(q)
+FBSim first counts the query's match sets and collects them to the
+driver when they fit (:func:`collect_match_sets`, see
+:mod:`repro.core.local`). Then the passes prune sorted numpy arrays;
+otherwise they prune ``(id)`` DataFrames, materialized per pass via
+``localCheckpoint`` to keep Catalyst plans bounded. Both run the same
+sweep order, pass cap and guard ticks. Candidates shrink monotonically,
+so per-node cardinalities are a sufficient convergence certificate.
+``max_passes`` implements §4.5's approximation (the paper fixes N=3:
+most redundant nodes die in the first 2-3 passes); ``None`` runs to the
+exact fixpoint. Approximation never loses answers — any superset of os(q)
 remains a valid RIG node set (Def. 4.1).
 """
 from __future__ import annotations
@@ -97,30 +97,37 @@ def checkpoint_and_count(
     return views, {k: int(counted.get(k, 0)) for k in sorted(frames)}
 
 
-def collect_match_sets(ctx: MatchContext, p: Pattern) -> LocalSets | None:
-    """Every ``ms(q)`` and ``ms(e)`` of ``p`` as driver arrays, or None.
+def collect_match_sets(
+    ctx: MatchContext, p: Pattern,
+) -> tuple[LocalSets | None, dict[int, int]]:
+    """Every ``ms(q)`` and ``ms(e)`` of ``p`` as driver arrays, or None; and ``|ms(q)|``.
 
-    The one choice between the substrates, made in one Spark action:
-    the sets are tag-unioned and at most ``LOCAL_MAX_ROWS + 1`` rows are
-    collected. More rows than ``LOCAL_MAX_ROWS`` means None: the query
-    stays on Spark.
+    The one choice between the substrates, made from counts: the sets
+    are tag-unioned and counted per set in one Spark job. When they
+    total at most ``LOCAL_MAX_ROWS`` rows, a second job collects them;
+    otherwise nothing is collected and the query stays on Spark, whose
+    passes start from the ``|ms(q)|`` counted here.
     """
     ids = p.node_ids()
     frames = [ctx.ms_node(p, q).select(F.col("id").alias("src"), F.col("id").alias("dst"))
               for q in ids]
     frames += [ctx.ms_edge(p, e) for e in p.edges]
-    pdf = _tag_union(dict(enumerate(frames))).limit(local.LOCAL_MAX_ROWS + 1).toPandas()
-    if len(pdf) > local.LOCAL_MAX_ROWS:
-        return None
+    union = _tag_union(dict(enumerate(frames)))
+    sizes = {r["_k"]: r["count"] for r in union.groupBy("_k").count().collect()}
+    node_counts = {q: int(sizes.get(i, 0)) for i, q in enumerate(ids)}
+    if sum(sizes.values()) > local.LOCAL_MAX_ROWS:
+        return None, node_counts
+    pdf = union.toPandas()
     k, src, dst = (pdf[c].to_numpy(np.int64) for c in ("_k", "src", "dst"))
     order = np.lexsort((dst, src, k))
     rows = np.stack([src[order], dst[order]], axis=1)
     bounds = np.searchsorted(k[order], np.arange(len(frames) + 1))
     parts = [rows[bounds[i]:bounds[i + 1]] for i in range(len(frames))]
-    return LocalSets(
+    sets = LocalSets(
         {q: parts[i][:, 0] for i, q in enumerate(ids)},
         {e: parts[len(ids) + i] for i, e in enumerate(p.edges)},
     )
+    return sets, node_counts
 
 
 # A pass is a list of prune steps (edge, forward): forward keeps the
@@ -189,18 +196,14 @@ def _run_passes(
     return SimResult(fb=fb, counts=counts, passes=passes, converged=converged)
 
 
-def _spark_passes(ctx, p, steps, *, max_passes, guard) -> SimResult:
-    fb, counts = checkpoint_and_count({q: ctx.ms_node(p, q) for q in p.node_ids()})
-    return _run_passes(fb, counts, _spark_prune(ctx, p), checkpoint_and_count, steps,
-                       max_passes=max_passes, guard=guard)
-
-
 def fb_sim_bas(
     ctx: MatchContext, p: Pattern, *, max_passes: int | None = None,
     guard: Guard | None = None,
 ) -> SimResult:
     """FBSimBas (Algorithm 1) on Spark: edge-order forward then backward prunes."""
-    return _spark_passes(ctx, p, _bas_steps(p.edges), max_passes=max_passes, guard=guard)
+    fb, counts = checkpoint_and_count({q: ctx.ms_node(p, q) for q in p.node_ids()})
+    return _run_passes(fb, counts, _spark_prune(ctx, p), checkpoint_and_count,
+                       _bas_steps(p.edges), max_passes=max_passes, guard=guard)
 
 
 def fb_sim(
@@ -212,9 +215,11 @@ def fb_sim(
     when Q is a DAG), repeated until FB stabilizes. Runs on the driver
     when :func:`collect_match_sets` brings the match sets there.
     """
-    steps = _dag_delta_steps(p)
-    fb = collect_match_sets(ctx, p)
-    if fb is None:
-        return _spark_passes(ctx, p, steps, max_passes=max_passes, guard=guard)
-    return _run_passes(fb, _local_counts(fb)[1], _local_prune, _local_counts, steps,
+    sets, counts = collect_match_sets(ctx, p)
+    if sets is None:
+        fb = {q: ctx.ms_node(p, q) for q in p.node_ids()}
+        prune, materialize = _spark_prune(ctx, p), checkpoint_and_count
+    else:
+        fb, prune, materialize = sets, _local_prune, _local_counts
+    return _run_passes(fb, counts, prune, materialize, _dag_delta_steps(p),
                        max_passes=max_passes, guard=guard)

@@ -88,11 +88,12 @@ def _fmt_run(r: RunResult) -> str:
 def _run_gm(ctx, p, **kw) -> RunResult:
     """GM with capped enumeration (paper: first 10^7 matches; here MATCH_LIMIT).
 
-    On the driver, enumeration is backtracking that stops after
-    MATCH_LIMIT answers. ``partial_cap`` binds only on the Spark path,
-    as the set-oriented analogue of that bounded backtracking — without
-    it, a lazy multi-way join over a near-complete closure would compute
-    the full (astronomical) answer before the limit applies.
+    ``partial_cap`` bounds the partial matches of every MJoin step on
+    both substrates: an in-plan limit on Spark, and on the driver a cap
+    on each backtracking depth. Without it, a lazy multi-way join over a
+    near-complete closure would compute the full (astronomical) answer
+    before the limit applies, and backtracking over many partial
+    matches with few full answers would run unbounded.
     """
     t0 = time.perf_counter()
     res = gm(ctx, p, limit=MATCH_LIMIT, partial_cap=2 * MATCH_LIMIT, **kw)

@@ -58,13 +58,14 @@ def test_substrates_agree_pass_by_pass(tiny_ctx_for, substrates, seed, p):
 
 def test_choice_is_made_at_the_row_limit(tiny_ctx_for, monkeypatch):
     _, ctx = tiny_ctx_for(0)
-    total = (sum(ctx.ms_node(DQ9, q).count() for q in DQ9.node_ids())
-             + sum(ctx.ms_edge(DQ9, e).count() for e in DQ9.edges))
+    node_counts = {q: ctx.ms_node(DQ9, q).count() for q in DQ9.node_ids()}
+    total = sum(node_counts.values()) + sum(ctx.ms_edge(DQ9, e).count() for e in DQ9.edges)
     monkeypatch.setattr(local, "LOCAL_MAX_ROWS", total)
-    sets = collect_match_sets(ctx, DQ9)
+    sets, counts = collect_match_sets(ctx, DQ9)
+    assert counts == node_counts
     assert sum(map(len, sets.values())) + sum(map(len, sets.ms_edges.values())) == total
     monkeypatch.setattr(local, "LOCAL_MAX_ROWS", total - 1)
-    assert collect_match_sets(ctx, DQ9) is None
+    assert collect_match_sets(ctx, DQ9) == (None, node_counts)
 
 
 def test_capped_local_run_is_reproducible(tiny_ctx_for):
@@ -103,3 +104,21 @@ def test_zero_time_budget_times_out_on_the_driver(tiny_ctx_for):
     assert rig.substrate == "local"
     with pytest.raises(Timeout):  # the enumeration ticks the guard too
         mjoin(rig, jo_order(rig), guard=Guard(time_limit_s=0))
+
+
+def test_partial_cap_bounds_a_local_run(tiny_ctx_for):
+    # DQ9 has 36 answers; with at most 5 partial matches per depth, no
+    # depth reaches more, and the run lists a reproducible valid subset.
+    g, ctx = tiny_ctx_for(0)
+    expected = homomorphisms(DQ9, *g.to_pandas())
+    rig = build_rig(ctx, DQ9)
+    assert rig.substrate == "local"
+    runs = []
+    for _ in range(2):
+        guard = TickLog()
+        rows = [tuple(r) for r in mjoin(rig, jo_order(rig), partial_cap=5, guard=guard).collect()]
+        assert 0 < len(rows) <= 5 < len(expected)
+        assert max(guard.ticks) <= 5
+        runs.append(rows)
+    assert runs[0] == runs[1]
+    assert set(runs[0]) <= expected
