@@ -38,7 +38,6 @@ from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import jo_order
 from repro.core.rig import RIG, expand_rig
-from repro.core.simulation import checkpoint_and_count
 from repro.harness.runner import Guard, RowCap
 from repro.queries.pattern import CHILD, Pattern
 
@@ -46,7 +45,7 @@ from repro.queries.pattern import CHILD, Pattern
 def _match_rig(ctx: MatchContext, p: Pattern, *, guard: Guard | None = None) -> RIG:
     """The match RIG G_Q^m that GF and EH probe: cos(q) = ms(q), no pruning."""
     ms = {q: ctx.ms_node(p, q) for q in p.node_ids()}
-    return expand_rig(ctx, p, *checkpoint_and_count(ms), guard=guard)
+    return expand_rig(ctx, p, ms, ctx.ms_node_sizes(p), guard=guard)
 
 
 # ---------------------------------------------------------------------------

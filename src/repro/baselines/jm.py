@@ -25,7 +25,6 @@ from pyspark.sql import functions as F
 from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
 from repro.core.rig import expand_rig
-from repro.core.simulation import checkpoint_and_count
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 from repro.queries.sql import col_name
@@ -110,7 +109,6 @@ def jm(
 ) -> DataFrame:
     """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
     rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
-    node_card = checkpoint_and_count({q: ctx.ms_node(p, q) for q in p.node_ids()})[1]
-    plan = plan_left_deep(p, rig.edge_counts, node_card, guard=guard)
+    plan = plan_left_deep(p, rig.edge_counts, ctx.ms_node_sizes(p), guard=guard)
     out = binary_join(p, rig.cos_edges, plan, guard=guard)
     return out if limit is None else out.limit(limit)

@@ -3,10 +3,11 @@
 The paper's GM (§4-§6) runs double simulation, BuildRIG and MJoin in
 memory, over adjacency bitmaps of a RIG far smaller than the graph.
 Here the reachability closure and every ``ms(e)`` stay Spark
-DataFrames, since they are data-sized. When a query's ``ms(q)`` and
-``ms(e)`` total at most :data:`LOCAL_MAX_ROWS` rows, ``fb_sim`` collects
-them into a :class:`LocalSets`; one Spark job counts them first, and a
-second collects them only when they fit
+DataFrames, since they are data-sized: filter views of the labelled
+relation a ``MatchContext`` builds and counts per key at set-up. When a
+query's ``ms(q)`` and ``ms(e)`` total at most :data:`LOCAL_MAX_ROWS`
+rows by those counts, ``fb_sim`` collects them into a
+:class:`LocalSets` in one Spark job, each distinct key once
 (``repro.core.simulation.collect_match_sets``, the only place the
 choice is made). From then
 on the sets' type picks the implementation: ``fb_sim``, ``expand_rig``
@@ -43,7 +44,9 @@ class LocalSets(dict):
     Maps each query node to its candidate ids, a sorted int64 array.
     ``ms_edges`` maps each query edge to ``ms(e)``: an ``(n, 2)`` int64
     array of ``(src, dst)`` rows in lexicographic order, from which RIG
-    expansion selects ``cos(e)``.
+    expansion selects ``cos(e)``. Nodes or edges with the same labels
+    (and kind) may share one array, so the arrays are read-only: every
+    step builds new ones.
     """
 
     def __init__(self, nodes: dict[int, np.ndarray], ms_edges: dict[PEdge, np.ndarray]):

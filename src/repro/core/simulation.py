@@ -20,8 +20,9 @@ semi-joins against ``ms(e)`` until a fixpoint:
   pattern has no back edges, so there FBSim is exactly FBSimDag. Same
   fixpoint as FBSimBas, fewer passes in practice (paper §4.4).
 
-FBSim first counts the query's match sets and collects them to the
-driver when they fit (:func:`collect_match_sets`, see
+FBSim first sizes the query's match sets from the counts its
+``MatchContext`` took at set-up, and collects them to the driver in one
+Spark job when they fit (:func:`collect_match_sets`, see
 :mod:`repro.core.local`). Then the passes prune sorted numpy arrays;
 otherwise they prune ``(id)`` DataFrames, materialized per pass via
 ``localCheckpoint`` to keep Catalyst plans bounded. Both run the same
@@ -65,15 +66,6 @@ class SimResult:
         return any(c == 0 for c in self.counts.values())
 
 
-def _tag_union(frames: dict[int, DataFrame]) -> DataFrame:
-    """One DataFrame of ``frames`` (same columns), each row tagged ``_k`` with its key."""
-    combined = None
-    for k in sorted(frames):
-        tagged = frames[k].select(F.lit(k).alias("_k"), *frames[k].columns)
-        combined = tagged if combined is None else combined.unionByName(tagged)
-    return combined
-
-
 def checkpoint_and_count(
     frames: dict[int, DataFrame],
 ) -> tuple[dict[int, DataFrame], dict[int, int]]:
@@ -86,7 +78,11 @@ def checkpoint_and_count(
     with bitmap unions). The per-key views handed back are cheap filters
     over the checkpointed union.
     """
-    combined = _tag_union(frames).localCheckpoint(eager=True)
+    combined = None
+    for k in sorted(frames):
+        tagged = frames[k].select(F.lit(k).alias("_k"), *frames[k].columns)
+        combined = tagged if combined is None else combined.unionByName(tagged)
+    combined = combined.localCheckpoint(eager=True)
     counted = {
         r["_k"]: r["n"]
         for r in combined.groupBy("_k").agg(F.count("*").alias("n")).collect()
@@ -102,30 +98,30 @@ def collect_match_sets(
 ) -> tuple[LocalSets | None, dict[int, int]]:
     """Every ``ms(q)`` and ``ms(e)`` of ``p`` as driver arrays, or None; and ``|ms(q)|``.
 
-    The one choice between the substrates, made from counts: the sets
-    are tag-unioned and counted per set in one Spark job. When they
-    total at most ``LOCAL_MAX_ROWS`` rows, a second job collects them;
-    otherwise nothing is collected and the query stays on Spark, whose
-    passes start from the ``|ms(q)|`` counted here.
+    The one choice between the substrates, made from the counts the
+    ``MatchContext`` took at set-up, with no Spark job: when the sets
+    total at most ``LOCAL_MAX_ROWS`` rows, one job ships each distinct
+    key of ``p`` once, and the driver splits the rows into sorted
+    arrays; otherwise nothing is collected and the query stays on
+    Spark. Nodes or edges with the same key share one read-only array.
     """
-    ids = p.node_ids()
-    frames = [ctx.ms_node(p, q).select(F.col("id").alias("src"), F.col("id").alias("dst"))
-              for q in ids]
-    frames += [ctx.ms_edge(p, e) for e in p.edges]
-    union = _tag_union(dict(enumerate(frames)))
-    sizes = {r["_k"]: r["count"] for r in union.groupBy("_k").count().collect()}
-    node_counts = {q: int(sizes.get(i, 0)) for i, q in enumerate(ids)}
-    if sum(sizes.values()) > local.LOCAL_MAX_ROWS:
+    node_keys = {q: ctx.node_key(p, q) for q in p.node_ids()}
+    edge_keys = {e: ctx.edge_key(p, e) for e in p.edges}
+    node_counts = ctx.ms_node_sizes(p)
+    total = sum(node_counts.values()) + sum(ctx.sizes[k] for k in edge_keys.values())
+    if total > local.LOCAL_MAX_ROWS:
         return None, node_counts
-    pdf = union.toPandas()
+    keys = sorted(set(node_keys.values()) | set(edge_keys.values()))
+    pdf = ctx.tagged_rows(keys).toPandas()
     k, src, dst = (pdf[c].to_numpy(np.int64) for c in ("_k", "src", "dst"))
     order = np.lexsort((dst, src, k))
     rows = np.stack([src[order], dst[order]], axis=1)
-    bounds = np.searchsorted(k[order], np.arange(len(frames) + 1))
-    parts = [rows[bounds[i]:bounds[i + 1]] for i in range(len(frames))]
+    rows.setflags(write=False)
+    bounds = np.searchsorted(k[order], np.arange(len(keys) + 1))
+    part = {key: rows[bounds[i]:bounds[i + 1]] for i, key in enumerate(keys)}
     sets = LocalSets(
-        {q: parts[i][:, 0] for i, q in enumerate(ids)},
-        {e: parts[len(ids) + i] for i, e in enumerate(p.edges)},
+        {q: part[key][:, 0] for q, key in node_keys.items()},
+        {e: part[key] for e, key in edge_keys.items()},
     )
     return sets, node_counts
 
@@ -201,8 +197,8 @@ def fb_sim_bas(
     guard: Guard | None = None,
 ) -> SimResult:
     """FBSimBas (Algorithm 1) on Spark: edge-order forward then backward prunes."""
-    fb, counts = checkpoint_and_count({q: ctx.ms_node(p, q) for q in p.node_ids()})
-    return _run_passes(fb, counts, _spark_prune(ctx, p), checkpoint_and_count,
+    fb = {q: ctx.ms_node(p, q) for q in p.node_ids()}
+    return _run_passes(fb, ctx.ms_node_sizes(p), _spark_prune(ctx, p), checkpoint_and_count,
                        _bas_steps(p.edges), max_passes=max_passes, guard=guard)
 
 

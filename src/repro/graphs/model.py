@@ -39,8 +39,12 @@ class Graph:
         return self
 
     def unpersist(self) -> None:
+        """Free both relations and every cached inverted list."""
         self.nodes.unpersist()
         self.edges.unpersist()
+        for ids in self._label_cache.values():
+            ids.unpersist()
+        self._label_cache.clear()
 
     def inverted_list(self, label: str) -> DataFrame:
         """``I_label``: ids of nodes carrying ``label`` (Def. 2.1)."""

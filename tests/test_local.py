@@ -6,6 +6,7 @@ pass-by-pass agreement, capped runs, budgets and the job-free count.
 """
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from repro.core import local
@@ -15,8 +16,10 @@ from repro.core.ordering import jo_order
 from repro.core.rig import build_rig, expand_rig
 from repro.core.simulation import collect_match_sets, fb_sim
 from repro.harness.runner import Guard, Timeout
+from repro.queries.pattern import CHILD, Pattern
 from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
+from tests.jobs import spark_jobs
 from tests.sets import id_set
 
 DQ9 = instantiate(9, qtype="D", n_labels=5, seed=1)  # directed triangle: 36 answers on tiny graph 0
@@ -80,18 +83,37 @@ def test_capped_local_run_is_reproducible(tiny_ctx_for):
         assert set(rows) <= expected
 
 
+def test_collect_starts_one_job_or_none(tiny_ctx_for, spark, monkeypatch):
+    _, ctx = tiny_ctx_for(0)
+    monkeypatch.setattr(local, "LOCAL_MAX_ROWS", 10**9)
+    (sets, _), jobs = spark_jobs(spark, lambda: collect_match_sets(ctx, DQ9))
+    assert sets is not None and jobs == 1
+    monkeypatch.setattr(local, "LOCAL_MAX_ROWS", 0)
+    (sets, counts), jobs = spark_jobs(spark, lambda: collect_match_sets(ctx, DQ9))
+    assert sets is None and jobs == 0
+    assert counts == {q: ctx.ms_node(DQ9, q).count() for q in DQ9.node_ids()}
+
+
+def test_edges_with_one_key_get_equal_read_only_arrays(tiny_ctx_for):
+    g, ctx = tiny_ctx_for(0)
+    nodes, edges = g.to_pandas()
+    lab = dict(zip(nodes.id, nodes.label))
+    s, d = next((s, d) for s, d in edges.itertuples(index=False) if lab[s] != lab[d])
+    p = Pattern.of({0: lab[s], 1: lab[d], 2: lab[s]}, [(0, 1, CHILD), (2, 1, CHILD)])
+    sets, _ = collect_match_sets(ctx, p)
+    a, b = (sets.ms_edges[e] for e in p.edges)
+    assert len(a) > 0 and np.array_equal(a, b)
+    assert np.array_equal(sets[0], sets[2])
+    for arr in (a, b, sets[0], sets[1], sets[2]):
+        assert not arr.flags.writeable
+
+
 def test_local_count_runs_no_spark_job(tiny_ctx_for, spark):
     g, ctx = tiny_ctx_for(0)
     res = gm(ctx, DQ9)
     assert res.substrate == "local"
-    sc = spark.sparkContext
-    sc.setJobGroup("local-count", "GMResult.count on the driver")
-    try:
-        n = res.count()
-        jobs = sc.statusTracker().getJobIdsForGroup("local-count")
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    assert jobs == []
+    n, jobs = spark_jobs(spark, res.count)
+    assert jobs == 0
     assert n == len(homomorphisms(DQ9, *g.to_pandas()))
     assert res.timings["count"] >= 0
 
