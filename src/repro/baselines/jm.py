@@ -3,10 +3,13 @@
 JM decomposes the query into its edges and takes one node-pre-filtered
 match relation per edge [11,63]: the ``cos(e)`` that
 ``repro.core.rig.expand_rig`` builds from the pre-filtered node sets, as
-for GM-F. It picks an optimized *left-deep* plan by exhaustive dynamic
-programming over edge orders, and evaluates it as a sequence of binary
-(edge-at-a-time) joins. Its two documented failure modes, which the
-guard surfaces as the paper's statuses:
+for GM-F. Pre-filtering and expansion run on the driver when the
+query's match sets fit there (``repro.baselines.prefilter``), and
+:func:`edge_relations` hands their ``cos(e)`` to Spark; the joins
+themselves always run on Spark. It picks an optimized *left-deep* plan
+by exhaustive dynamic programming over edge orders, and evaluates it as
+a sequence of binary (edge-at-a-time) joins. Its two documented
+failure modes, which the guard surfaces as the paper's statuses:
 
 * **OM** — intermediate join results explode (each step materializes
   the partial relation; ``guard.tick(rows)`` trips the row cap);
@@ -19,12 +22,14 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
-from repro.core.rig import expand_rig
+from repro.core.rig import RIG, expand_rig
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 from repro.queries.sql import col_name
@@ -66,6 +71,34 @@ def plan_left_deep(
                     nxt[key] = (new_cost, new_card, order + (e,), bound | {e.src, e.dst})
         states = nxt
     return list(states[(1 << len(edges)) - 1][2])
+
+
+def edge_relations(ctx: MatchContext, rig: RIG) -> dict[PEdge, DataFrame]:
+    """Every ``cos(e)`` of ``rig`` as the ``(src, dst)`` DataFrame binary joins read.
+
+    A Spark RIG's edge sets are handed over as they are. A driver RIG's
+    non-empty ones go to Spark in one ``createDataFrame``, tagged by
+    edge and split into filter views; an empty one becomes
+    ``ms(e).limit(0)``, as in Spark expansion's early exit: Catalyst
+    folds every join over it, so those joins start no Spark job, where
+    a zero-row ``createDataFrame`` would be scanned and joined.
+    """
+    if rig.substrate == "spark":
+        return rig.cos_edges
+    p = rig.pattern
+    rels = {e: ctx.ms_edge(p, e).limit(0) for e, n in rig.edge_counts.items() if n == 0}
+    full = [(i, e) for i, e in enumerate(p.edges) if e not in rels]
+    if full:
+        rows = np.concatenate([rig.cos_edges[e] for _, e in full])
+        tags = np.repeat([i for i, _ in full], [rig.edge_counts[e] for _, e in full])
+        spark = ctx.graph.nodes.sparkSession
+        tagged = spark.createDataFrame(
+            pd.DataFrame({"_k": tags, "src": rows[:, 0], "dst": rows[:, 1]}),
+            schema="_k INT, src LONG, dst LONG",
+        )
+        for i, e in full:
+            rels[e] = tagged.where(F.col("_k") == i).select("src", "dst")
+    return rels
 
 
 def binary_join(
@@ -110,5 +143,5 @@ def jm(
     """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
     rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     plan = plan_left_deep(p, rig.edge_counts, ctx.ms_node_sizes(p), guard=guard)
-    out = binary_join(p, rig.cos_edges, plan, guard=guard)
+    out = binary_join(p, edge_relations(ctx, rig), plan, guard=guard)
     return out if limit is None else out.limit(limit)

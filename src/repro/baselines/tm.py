@@ -14,7 +14,7 @@ from collections import deque
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.jm import binary_join
+from repro.baselines.jm import binary_join, edge_relations
 from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
 from repro.core.rig import expand_rig
@@ -53,7 +53,8 @@ def tm(
     guard: Guard | None = None,
 ) -> DataFrame:
     """Evaluate the spanning tree, then filter by the missing edges."""
-    rels = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard).cos_edges
+    rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
+    rels = edge_relations(ctx, rig)
     tree, non_tree = spanning_tree(p)
     # The tree-solution relation is materialized in full before any
     # non-tree filter runs — TM's documented bottleneck.

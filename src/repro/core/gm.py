@@ -9,10 +9,10 @@ evaluation tables:
   (one-pass node pre-filter [11,63]) — larger RIG, slower enumeration.
 * ``gm-nr`` — skip the pattern transitive reduction (Fig. 15 ablation).
 
-GM and GM-NR simulate, build the RIG and enumerate on the driver when
-the query's match sets fit there (repro.core.local), and on Spark
-otherwise; ``GMResult.substrate`` says which. GM-F's pre-filtered sets
-are DataFrames, so it always runs on Spark.
+Every variant selects its nodes (double simulation, or GM-F's
+pre-filter), builds the RIG and enumerates on the driver when the
+query's match sets fit there (repro.core.local), and on Spark
+otherwise; ``GMResult.substrate`` says which.
 """
 from __future__ import annotations
 

@@ -6,13 +6,13 @@ Here the reachability closure and every ``ms(e)`` stay Spark
 DataFrames, since they are data-sized: filter views of the labelled
 relation a ``MatchContext`` builds and counts per key at set-up. When a
 query's ``ms(q)`` and ``ms(e)`` total at most :data:`LOCAL_MAX_ROWS`
-rows by those counts, ``fb_sim`` collects them into a
-:class:`LocalSets` in one Spark job, each distinct key once
-(``repro.core.simulation.collect_match_sets``, the only place the
-choice is made). From then
-on the sets' type picks the implementation: ``fb_sim``, ``expand_rig``
-and ``mjoin`` work on numpy arrays when handed a :class:`LocalSets` and
-on DataFrames otherwise. The answers go back to Spark through
+rows by those counts, ``fb_sim`` (or the baselines' ``prefilter_nodes``)
+collects them into a :class:`LocalSets` in one Spark job, each distinct
+key once (``repro.core.simulation.collect_match_sets``, the only place
+the choice is made). From then on the sets' type picks the
+implementation: ``fb_sim``, ``prefilter_nodes``, ``expand_rig`` and
+``mjoin`` work on numpy arrays when handed a :class:`LocalSets` and on
+DataFrames otherwise. The answers go back to Spark through
 :func:`answer_frame`, so every caller gets a DataFrame either way.
 """
 from __future__ import annotations

@@ -20,11 +20,12 @@ selected:
 * ``prefilter_nodes`` — one-pass node pre-filtering (GM-F, JM, TM)
 * ``cos(q) = ms(q)`` — the match RIG G_Q^m (the GF and EH simulators)
 
-The sets' type picks the substrate. When FBSim ran on the driver its
-``cos(q)`` are numpy arrays in a ``LocalSets`` that also holds the
-query's ``ms(e)`` (see :mod:`repro.core.local`), and expansion is the
-same rule over those arrays: one ``np.isin`` mask per endpoint. The
-other selections hand over DataFrames, and expansion stays on Spark.
+The sets' type picks the substrate. When FBSim or the pre-filter ran on
+the driver, its ``cos(q)`` are numpy arrays in a ``LocalSets`` that also
+holds the query's ``ms(e)`` (see :mod:`repro.core.local`), and expansion
+is the same rule over those arrays: one ``np.isin`` mask per endpoint.
+Otherwise, and always for the match RIG, the selection hands over
+DataFrames and expansion stays on Spark.
 """
 from __future__ import annotations
 

@@ -12,11 +12,13 @@ actually exhausting the driver).
 
 :func:`run_guarded` wraps a thunk and returns a :class:`RunResult` with
 status ok/TO/OM and elapsed seconds — the unit the paper's Table 3
-aggregates.
+aggregates. Any other exception gives status ``ER`` with its traceback,
+so one failing query does not abort a whole table.
 """
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 
 
@@ -54,7 +56,7 @@ class Guard:
 class RunResult:
     """Outcome of one guarded query evaluation."""
 
-    status: str  # 'ok' | 'TO' | 'OM'
+    status: str  # 'ok' | 'TO' | 'OM' | 'ER'
     seconds: float
     value: object = None
     error: str = ""
@@ -67,7 +69,7 @@ class RunResult:
 def run_guarded(
     fn, *, time_limit_s: float | None = None, row_cap: int | None = None
 ) -> RunResult:
-    """Run ``fn(guard)`` under budgets, mapping failures to TO/OM."""
+    """Run ``fn(guard)`` under budgets, mapping failures to TO/OM, others to ER."""
     guard = Guard(time_limit_s=time_limit_s, row_cap=row_cap)
     t0 = time.perf_counter()
     try:
@@ -77,3 +79,5 @@ def run_guarded(
         return RunResult("TO", time.perf_counter() - t0, error=str(e))
     except RowCap as e:
         return RunResult("OM", time.perf_counter() - t0, error=str(e))
+    except Exception:  # one failing query must not abort a table
+        return RunResult("ER", time.perf_counter() - t0, error=traceback.format_exc())

@@ -41,7 +41,8 @@ MATCH_LIMIT = 20_000
 CATALOG_CAP = 470_000  # GF catalog footprint cap (entries); see engines.py
 SUBSTRATES_NOTE = (
     f"GM runs on the driver when a query's ms(q) and ms(e) total at most "
-    f"{LOCAL_MAX_ROWS} rows, on Spark otherwise; JM, TM, Neo4j, GF and EH run on Spark."
+    f"{LOCAL_MAX_ROWS} rows, on Spark otherwise; JM and TM pre-filter and expand "
+    f"on the same substrate as GM and join on Spark; Neo4j, GF and EH run on Spark."
 )
 
 
@@ -85,7 +86,7 @@ def _fmt_run(r: RunResult) -> str:
     return f"{r.seconds:.2f}" if r.ok else r.status
 
 
-def _run_gm(ctx, p, **kw) -> RunResult:
+def _run_gm(ctx, p, *, time_limit_s: float | None = None, **kw) -> RunResult:
     """GM with capped enumeration (paper: first 10^7 matches; here MATCH_LIMIT).
 
     ``partial_cap`` bounds the partial matches of every MJoin step on
@@ -93,12 +94,17 @@ def _run_gm(ctx, p, **kw) -> RunResult:
     on each backtracking depth. Without it, a lazy multi-way join over a
     near-complete closure would compute the full (astronomical) answer
     before the limit applies, and backtracking over many partial
-    matches with few full answers would run unbounded.
+    matches with few full answers would run unbounded. The run goes
+    through ``run_guarded``, so a failure is a TO or ER cell, not an
+    aborted table; the guard reaches ``gm`` only with a time budget,
+    since a guarded Spark MJoin materializes every step.
     """
-    t0 = time.perf_counter()
-    res = gm(ctx, p, limit=MATCH_LIMIT, partial_cap=2 * MATCH_LIMIT, **kw)
-    n = res.count()
-    return RunResult("ok", time.perf_counter() - t0, value=n)
+    def run(guard):
+        res = gm(ctx, p, limit=MATCH_LIMIT, partial_cap=2 * MATCH_LIMIT,
+                 guard=guard if time_limit_s is not None else None, **kw)
+        return res.count()
+
+    return run_guarded(run, time_limit_s=time_limit_s)
 
 
 def _run_baseline(alg, ctx, p, time_limit=TIME_LIMIT_S) -> RunResult:
@@ -161,10 +167,8 @@ def table3(
             results = []
             for p in queries:
                 if alg is None:
-                    r = run_guarded(
-                        lambda gd, p=p: _run_gm(ctx, p, guard=gd).value,
-                        time_limit_s=60.0,  # GM gets the paper's "always solves" budget
-                    )
+                    # GM gets the paper's "always solves" budget
+                    r = _run_gm(ctx, p, time_limit_s=60.0)
                 else:
                     r = _run_baseline(alg, ctx, p, time_limit)
                 results.append(r)
@@ -207,8 +211,7 @@ def table4(
             p = instantiate(tid, qtype="H", n_labels=n_labels[ds], seed=1)
             row = [f"HQ{tid}", ds]
             for method in ("ri", "jo", "bj"):
-                r = _run_gm(ctx, p, order_method=method)
-                row.append(f"{r.seconds:.2f}")
+                row.append(_fmt_run(_run_gm(ctx, p, order_method=method)))
             t.rows.append(row)
     t.seconds = time.perf_counter() - t0
     return t
@@ -253,7 +256,7 @@ def table5(
             r_neo = _run_baseline(neo4j, ctx, p)
             r_gm = _run_gm(ctx, p)
             t.rows.append(
-                [ds, f"CQ{tid}", eh_probe_s, eh_s, _fmt_run(r_neo), f"{r_gm.seconds:.2f}"]
+                [ds, f"CQ{tid}", eh_probe_s, eh_s, _fmt_run(r_neo), _fmt_run(r_gm)]
             )
     t.seconds = time.perf_counter() - t0
     return t
@@ -275,7 +278,12 @@ def table16a(spark: SparkSession, *, scale: str = "bench") -> TableResult:
             continue
         g, ctx = bench_ctx(spark, name, scale)
         r = run_guarded(lambda gd: build_catalog(ctx, guard=gd), row_cap=CATALOG_CAP)
-        entries = r.value.entries_modeled if r.ok else r.error.split(" rows")[0].split()[-1]
+        if r.ok:
+            entries = r.value.entries_modeled
+        elif r.status == "OM":  # RowCap's text starts "intermediate of <n> rows"
+            entries = r.error.split(" rows")[0].split()[-1]
+        else:
+            entries = "-"
         t.rows.append([name, _fmt_run(r), entries])
     t.seconds = time.perf_counter() - t0
     return t
@@ -357,7 +365,7 @@ def table18b(
                 row_cap=ROW_CAP,
             )
             rows["GF"].append(_fmt_run(r_gf))
-            rows["GM"].append(f"{_run_gm(ctx, p).seconds:.2f}")
+            rows["GM"].append(_fmt_run(_run_gm(ctx, p)))
         for alg in ("Neo4j", "GF", "GM"):
             t.rows.append(rows[alg])
     t.seconds = time.perf_counter() - t0
@@ -386,7 +394,7 @@ def table6(
         p = instantiate(tid, qtype="H", n_labels=n_labels, seed=1)
         r_neo = _run_baseline(neo4j, ctx, p)
         r_gm = _run_gm(ctx, p)
-        t.rows.append([f"HQ{tid}", _fmt_run(r_neo), f"{r_gm.seconds:.2f}"])
+        t.rows.append([f"HQ{tid}", _fmt_run(r_neo), _fmt_run(r_gm)])
     t.seconds = time.perf_counter() - t0
     return t
 

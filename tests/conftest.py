@@ -4,8 +4,9 @@ The root conftest provides the session-scoped ``spark`` fixture. Here we
 add per-session caches so the expensive pieces (graph generation,
 transitive closure) are computed once per (dataset, scale) across the
 whole test session, plus small hand-rolled graphs for brute-force
-comparisons, and ``substrates``, which runs a check on both of GM's
-substrates.
+comparisons, and ``substrates``, which runs a check on both
+substrates: Spark, and the driver that ``collect_match_sets`` ships a
+query's match sets to.
 """
 from __future__ import annotations
 
@@ -76,8 +77,10 @@ SUBSTRATES = {"spark": 0, "local": 10**9}
 def substrates(monkeypatch):
     """``for s in substrates(): ...`` runs the body once per substrate.
 
-    Each iteration sets ``LOCAL_MAX_ROWS`` so that GM's simulation, RIG
-    and MJoin run on substrate ``s``. Looping inside one test keeps the
+    Each iteration sets ``LOCAL_MAX_ROWS`` so that everything that
+    takes its match sets from ``collect_match_sets`` runs on substrate
+    ``s``: GM's simulation, RIG and MJoin, and the node pre-filter and
+    RIG expansion of GM-F, JM and TM. Looping inside one test keeps the
     test's id while checking both substrates.
     """
 

@@ -51,6 +51,22 @@ def test_table3_gm_budget_reaches_gm(spark_, monkeypatch):
     assert len(guards) == 1 and isinstance(guards[0], Guard)
 
 
+def test_raising_query_gives_er_cell(spark_, monkeypatch):
+    # One query raising inside GM leaves the table's other rows intact.
+    real_gm = T.gm
+
+    def gm_failing_on_hq6(ctx, p, **kw):
+        if p.name.startswith("HQ6"):
+            raise RuntimeError("injected failure")
+        return real_gm(ctx, p, **kw)
+
+    monkeypatch.setattr(T, "gm", gm_failing_on_hq6)
+    t = T.table6(spark_, scale="test", tids=(0, 6))
+    assert [r[0] for r in t.rows] == ["HQ0", "HQ6"]
+    assert float(t.rows[0][2]) > 0
+    assert t.rows[1][2] == "ER"
+
+
 def test_table4_small(spark_):
     t = T.table4(spark_, scale="test", datasets=("em",), tids=(2,))
     assert len(t.rows) == 1

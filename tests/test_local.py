@@ -4,8 +4,6 @@ The oracle and brute-force checks of simulation, RIG and MJoin run on
 both substrates in their own modules; here: the choice between them,
 pass-by-pass agreement, capped runs, budgets and the job-free count.
 """
-from dataclasses import dataclass, field
-
 import numpy as np
 import pytest
 
@@ -21,19 +19,9 @@ from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
 from tests.jobs import spark_jobs
 from tests.sets import id_set
+from tests.ticks import TickLog
 
 DQ9 = instantiate(9, qtype="D", n_labels=5, seed=1)  # directed triangle: 36 answers on tiny graph 0
-
-
-@dataclass
-class TickLog(Guard):
-    """A guard that records every tick's row count."""
-
-    ticks: list = field(default_factory=list)
-
-    def tick(self, rows=None):
-        self.ticks.append(rows)
-        super().tick(rows)
 
 
 # FB of DQ9 shrinks in passes 1 and 2 and is stable in pass 3; HQ8's in pass 2.

@@ -116,8 +116,10 @@ def test_mjoin_rejects_partial_order(tiny_ctx_for, substrates):
 def test_gm_variants_agree(tiny_ctx_for, substrates, variant):
     g, ctx = tiny_ctx_for(2)
     p = instantiate(15, qtype="H", n_labels=5, seed=4)
-    for _ in substrates():
-        assert answer_set(gm(ctx, p, variant=variant).df) == answer_set(gm(ctx, p).df)
+    for substrate in substrates():
+        res = gm(ctx, p, variant=variant)
+        assert res.substrate == substrate
+        assert answer_set(res.df) == answer_set(gm(ctx, p).df)
 
 
 def test_gm_rejects_unknown_variant(tiny_ctx_for):

@@ -57,6 +57,7 @@ class TestRunGuarded:
         r = RunResult("ok", 1.0, value="x")
         assert r.ok and r.value == "x"
 
-    def test_unguarded_exception_propagates(self):
-        with pytest.raises(ZeroDivisionError):
-            run_guarded(lambda g: 1 / 0)
+    def test_unexpected_exception_gives_er(self):
+        r = run_guarded(lambda g: 1 / 0)
+        assert r.status == "ER" and not r.ok
+        assert "ZeroDivisionError" in r.error
