@@ -1,9 +1,12 @@
 """Engine simulators for the paper's §7.5 system comparison.
 
 The real comparators (GraphflowDB, EmptyHeaded, Neo4j) are unavailable
-JVM/C++ engines, so we simulate each on the same Spark substrate,
+JVM/C++ engines, so we simulate each with this repository's parts,
 preserving the cost structure the paper attributes to it (see DESIGN.md
-"Substitutions"):
+"Substitutions"). GF and EH collect the query's match sets to the driver
+in one Spark job and build the match RIG and probe it there, as GM
+does (sets too large to collect raise ``RowCap``: OM); Neo4j joins on
+Spark:
 
 * **GF** (GraphflowDB [38]) — must build a *catalog* of subgraph
   cardinalities before answering anything. We materialize the
@@ -12,9 +15,9 @@ preserving the cost structure the paper attributes to it (see DESIGN.md
   extension statistics — what GF's catalog stores); the entry count is
   checked against the guard's row cap, reproducing the paper's
   out-of-memory failures on many-label graphs (Fig. 16(a)). Query
-  evaluation is a WCO join directly on the data graph (no reachability
-  support: D-queries require a caller-materialized transitive closure,
-  exactly the paper's workaround).
+  evaluation is a WCO join over the match RIG of the data graph's edges
+  (no reachability support: D-queries require a caller-materialized
+  transitive closure, exactly the paper's workaround).
 * **EH** (EmptyHeaded [4]) — expensive precomputation (builds the
   match RIG, i.e. materializes every query-node and query-edge
   relation, timed separately) then a WCO probe over it, the same MJoin
@@ -38,14 +41,15 @@ from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import jo_order
 from repro.core.rig import RIG, expand_rig
+from repro.core.simulation import collect_match_sets
 from repro.harness.runner import Guard, RowCap
 from repro.queries.pattern import CHILD, Pattern
 
 
 def _match_rig(ctx: MatchContext, p: Pattern, *, guard: Guard | None = None) -> RIG:
     """The match RIG G_Q^m that GF and EH probe: cos(q) = ms(q), no pruning."""
-    ms = {q: ctx.ms_node(p, q) for q in p.node_ids()}
-    return expand_rig(ctx, p, ms, ctx.ms_node_sizes(p), guard=guard)
+    ms = collect_match_sets(ctx, p)
+    return expand_rig(p, ms, {q: len(ids) for q, ids in ms.items()}, guard=guard)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 JM decomposes the query into its edges and takes one node-pre-filtered
 match relation per edge [11,63]: the ``cos(e)`` that
 ``repro.core.rig.expand_rig`` builds from the pre-filtered node sets, as
-for GM-F. Pre-filtering and expansion run on the driver when the
-query's match sets fit there (``repro.baselines.prefilter``), and
+for GM-F. Pre-filtering and expansion run on the driver, after one
+collect of the query's match sets (``repro.baselines.prefilter``), and
 :func:`edge_relations` hands their ``cos(e)`` to Spark; the joins
-themselves always run on Spark. It picks an optimized *left-deep* plan
+themselves run on Spark. It picks an optimized *left-deep* plan
 by exhaustive dynamic programming over edge orders, and evaluates it as
 a sequence of binary (edge-at-a-time) joins. Its two documented
 failure modes, which the guard surfaces as the paper's statuses:
@@ -76,15 +76,12 @@ def plan_left_deep(
 def edge_relations(ctx: MatchContext, rig: RIG) -> dict[PEdge, DataFrame]:
     """Every ``cos(e)`` of ``rig`` as the ``(src, dst)`` DataFrame binary joins read.
 
-    A Spark RIG's edge sets are handed over as they are. A driver RIG's
-    non-empty ones go to Spark in one ``createDataFrame``, tagged by
+    The non-empty ones go to Spark in one ``createDataFrame``, tagged by
     edge and split into filter views; an empty one becomes
-    ``ms(e).limit(0)``, as in Spark expansion's early exit: Catalyst
-    folds every join over it, so those joins start no Spark job, where
-    a zero-row ``createDataFrame`` would be scanned and joined.
+    ``ms(e).limit(0)``: Catalyst folds every join over it, so those
+    joins start no Spark job, where a zero-row ``createDataFrame`` would
+    be scanned and joined.
     """
-    if rig.substrate == "spark":
-        return rig.cos_edges
     p = rig.pattern
     rels = {e: ctx.ms_edge(p, e).limit(0) for e, n in rig.edge_counts.items() if n == 0}
     full = [(i, e) for i, e in enumerate(p.edges) if e not in rels]
@@ -109,9 +106,12 @@ def binary_join(
 
     The partial relation is seeded from ``order[0]``; every later edge
     must touch a bound node and is joined on its bound endpoint(s), one
-    or both. Each intermediate is materialized and counted, which is
-    exactly where JM, TM and Neo4j explode (guard -> OM/TO). Returns
-    one column per node of ``p``, in ``p.node_ids()`` order.
+    or both. Each intermediate is materialized, and counted when guarded,
+    which is exactly where JM, TM and Neo4j explode (guard -> OM/TO).
+    Once a count is 0, every later intermediate is empty too: the rest
+    of the plan reads ``limit(0)``, which Catalyst folds, and the guard
+    is ticked with 0 per step without a job. Returns one column per node
+    of ``p``, in ``p.node_ids()`` order.
     """
     first = order[0]
     partial = rels[first].select(
@@ -119,6 +119,7 @@ def binary_join(
         F.col("dst").alias(col_name(first.dst)),
     )
     bound = {first.src, first.dst}
+    empty = False
     for e in order[1:]:
         ends = ((e.src, "src"), (e.dst, "dst"))
         rel = rels[e].select(*[
@@ -126,10 +127,16 @@ def binary_join(
         ])
         on = [partial[col_name(q)] == rel[f"_{c}"] for q, c in ends if q in bound]
         partial = partial.join(rel, reduce(and_, on)).drop("_src", "_dst")
-        partial = partial.localCheckpoint(eager=True)
         bound |= {e.src, e.dst}
+        if empty:
+            guard.tick(0)
+            continue
+        partial = partial.localCheckpoint(eager=True)
         if guard is not None:
-            guard.tick(partial.count())
+            n = partial.count()
+            guard.tick(n)
+            if n == 0:
+                partial, empty = partial.limit(0), True
     return partial.select(*[col_name(q) for q in p.node_ids()])
 
 
@@ -141,7 +148,7 @@ def jm(
     guard: Guard | None = None,
 ) -> DataFrame:
     """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
-    rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
+    rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     plan = plan_left_deep(p, rig.edge_counts, ctx.ms_node_sizes(p), guard=guard)
     out = binary_join(p, edge_relations(ctx, rig), plan, guard=guard)
     return out if limit is None else out.limit(limit)

@@ -53,7 +53,7 @@ def tm(
     guard: Guard | None = None,
 ) -> DataFrame:
     """Evaluate the spanning tree, then filter by the missing edges."""
-    rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
+    rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     rels = edge_relations(ctx, rig)
     tree, non_tree = spanning_tree(p)
     # The tree-solution relation is materialized in full before any

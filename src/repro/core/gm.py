@@ -9,10 +9,11 @@ evaluation tables:
   (one-pass node pre-filter [11,63]) — larger RIG, slower enumeration.
 * ``gm-nr`` — skip the pattern transitive reduction (Fig. 15 ablation).
 
-Every variant selects its nodes (double simulation, or GM-F's
-pre-filter), builds the RIG and enumerates on the driver when the
-query's match sets fit there (repro.core.local), and on Spark
-otherwise; ``GMResult.substrate`` says which.
+Every variant collects the query's match sets to the driver in one
+Spark job, then selects its nodes (double simulation, or GM-F's
+pre-filter), builds the RIG and enumerates there (repro.core.local).
+Match sets too large to collect raise ``RowCap``, which a guarded run
+reports as OM. ``timings["mjoin_build"]`` times the enumeration itself.
 """
 from __future__ import annotations
 
@@ -35,26 +36,18 @@ VARIANTS = ("gm", "gm-f", "gm-nr")
 
 @dataclass
 class GMResult:
-    """Answer DataFrame plus the phase metrics the paper reports.
-
-    ``substrate`` is ``"local"`` when the RIG was built on the driver and
-    ``"spark"`` otherwise; it is read off the RIG, not passed in.
-    """
+    """Answer DataFrame plus the phase metrics the paper reports."""
 
     df: DataFrame
     rig: RIG
     order: list[int]
     pattern: Pattern
     timings: dict[str, float] = field(default_factory=dict)
-    substrate: str = field(init=False)
-
-    def __post_init__(self):
-        self.substrate = self.rig.substrate
 
     def count(self) -> int:
-        """Run the answer plan and count it; the seconds go to ``timings["count"]``.
+        """Count the answers; the seconds go to ``timings["count"]``.
 
-        On the driver the answers are listed already, and no job runs.
+        The answers are listed already, and no job runs.
         """
         t0 = time.perf_counter()
         n = self.df.count()
@@ -73,7 +66,7 @@ def gm(
     guard: Guard | None = None,
     partial_cap: int | None = None,
 ) -> GMResult:
-    """Run GM (or a variant) and return the lazy answer DataFrame."""
+    """Run GM (or a variant) and return its answers."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown GM variant {variant!r}; choose from {VARIANTS}")
     timings: dict[str, float] = {}
@@ -84,7 +77,7 @@ def gm(
 
     t0 = time.perf_counter()
     if variant == "gm-f":
-        rig = expand_rig(ctx, p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
+        rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     else:
         rig = build_rig(ctx, p, max_passes=sim_passes, guard=guard)
     timings["rig"] = time.perf_counter() - t0

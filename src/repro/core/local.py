@@ -1,19 +1,19 @@
-"""GM's driver-side substrate: a query's match sets as numpy arrays.
+"""The driver-side substrate: a query's match sets as numpy arrays.
 
 The paper's GM (§4-§6) runs double simulation, BuildRIG and MJoin in
 memory, over adjacency bitmaps of a RIG far smaller than the graph.
 Here the reachability closure and every ``ms(e)`` stay Spark
 DataFrames, since they are data-sized: filter views of the labelled
-relation a ``MatchContext`` builds and counts per key at set-up. When a
-query's ``ms(q)`` and ``ms(e)`` total at most :data:`LOCAL_MAX_ROWS`
-rows by those counts, ``fb_sim`` (or the baselines' ``prefilter_nodes``)
-collects them into a :class:`LocalSets` in one Spark job, each distinct
-key once (``repro.core.simulation.collect_match_sets``, the only place
-the choice is made). From then on the sets' type picks the
-implementation: ``fb_sim``, ``prefilter_nodes``, ``expand_rig`` and
-``mjoin`` work on numpy arrays when handed a :class:`LocalSets` and on
-DataFrames otherwise. The answers go back to Spark through
-:func:`answer_frame`, so every caller gets a DataFrame either way.
+relation a ``MatchContext`` builds and counts per key at set-up. A
+query's ``ms(q)`` and ``ms(e)`` reach the driver as a :class:`LocalSets`
+in one Spark job, each distinct key once
+(``repro.core.simulation.collect_match_sets``), and every later phase
+works on numpy arrays: FBSim and FBSimBas, the baselines' node
+pre-filter, RIG expansion and MJoin. When the sets total more than
+:data:`LOCAL_MAX_ROWS` rows by the set-up counts, the collect raises
+``RowCap`` before any Spark job, and a guarded run reports OM. The
+answers go back to Spark through :func:`answer_frame`, so every caller
+gets a DataFrame.
 """
 from __future__ import annotations
 
@@ -23,18 +23,17 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.queries.pattern import PEdge
 
-# The most rows a query's ms(q) and ms(e) may total and still go to the
-# driver. It bounds driver memory, not time. In a probe on 4 cores with
-# the benchmark's Spark settings (1 GB driver), GM listed a 4-cycle
-# C-query over 2-label random graphs (limit 20,000) on both paths:
-# with 1.2e5 / 5.8e5 / 1.2e6 match-set rows the driver path took
-# 2.2-2.9 / 12.6 / 25 s and the Spark path 59-68 / 336 / 549 s, so no
-# crossover showed. With 2.9e6 rows the driver path alone was run: 68 s,
-# the Python process peaking at 424 MB, about 85 bytes per row above
-# the 1.2e5-row run. The next size, a 1.6e6-node graph, ran the 1 GB
-# driver out of heap while it was loaded, before GM started. So the limit
-# is the largest size measured, not a measured crossover. Above it the
-# sets stay in Spark, which scales with the executors, not the driver.
+# The most rows a query's ms(q) and ms(e) may total and still be
+# collected; above it the query counts as out of memory (OM). It bounds
+# driver memory, not time. In a probe on 4 cores with the benchmark's
+# Spark settings (1 GB driver), GM listed a 4-cycle C-query over 2-label
+# random graphs (limit 20,000) with 1.2e5 / 5.8e5 / 1.2e6 match-set rows
+# in 2.2-2.9 / 12.6 / 25 s on the driver; a Spark implementation of the
+# same phases took 59-68 / 336 / 549 s. With 2.9e6 rows the driver took
+# 68 s, the Python process peaking at 424 MB, about 85 bytes per row
+# above the 1.2e5-row run. The next size, a 1.6e6-node graph, ran the
+# 1 GB driver out of heap while it was loaded, before GM started. So the
+# limit is the largest size measured.
 LOCAL_MAX_ROWS = 3_000_000
 
 

@@ -14,8 +14,8 @@
   cardinalities under an independence model seeded with RIG node/edge
   counts). O(2^n) states — the paper's point is that this is unscalable
   for tens of nodes. A guard handed to ``gm`` bounds it with one tick
-  per DP state; no harness table passes one (Table 3 orders with JO,
-  Table 4 runs GM without a guard).
+  per DP state; Table 4, the one harness table that orders with BJ,
+  gives GM a guard without a budget, which only records rows.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ semi-joins against ``ms(e)`` until a fixpoint:
 
 * :func:`fb_sim_bas` — FBSimBas (Algorithm 1): per pass, forward-prune
   every edge in arbitrary (insertion) order, then backward-prune every
-  edge. Kept on Spark as the reference FBSim is checked against.
+  edge. Kept as the reference FBSim is checked against.
 * :func:`fb_sim` — FBSim / "Dag+Δ" (Algorithm 3): decompose the pattern
   into a spanning DAG plus back edges; per pass, run the FBSimDag sweep
   (Algorithm 2: query nodes in reverse topological order for forward
@@ -20,43 +20,34 @@ semi-joins against ``ms(e)`` until a fixpoint:
   pattern has no back edges, so there FBSim is exactly FBSimDag. Same
   fixpoint as FBSimBas, fewer passes in practice (paper §4.4).
 
-FBSim first sizes the query's match sets from the counts its
-``MatchContext`` took at set-up, and collects them to the driver in one
-Spark job when they fit (:func:`collect_match_sets`, see
-:mod:`repro.core.local`). Then the passes prune sorted numpy arrays;
-otherwise they prune ``(id)`` DataFrames, materialized per pass via
-``localCheckpoint`` to keep Catalyst plans bounded. Both run the same
-sweep order, pass cap and guard ticks. Candidates shrink monotonically,
-so per-node cardinalities are a sufficient convergence certificate.
-``max_passes`` implements §4.5's approximation (the paper fixes N=3:
-most redundant nodes die in the first 2-3 passes); ``None`` runs to the
-exact fixpoint. Approximation never loses answers — any superset of os(q)
-remains a valid RIG node set (Def. 4.1).
+Both first collect the query's match sets to the driver in one Spark
+job (:func:`collect_match_sets`, see :mod:`repro.core.local`); the
+passes then prune sorted numpy arrays, one ``np.isin`` per step.
+Candidates shrink monotonically, so per-node cardinalities are a
+sufficient convergence certificate. ``max_passes`` implements §4.5's
+approximation (the paper fixes N=3: most redundant nodes die in the
+first 2-3 passes); ``None`` runs to the exact fixpoint. Approximation
+never loses answers — any superset of os(q) remains a valid RIG node
+set (Def. 4.1).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import local
 from repro.core.local import LocalSets
 from repro.core.matchsets import MatchContext
-from repro.harness.runner import Guard
+from repro.harness.runner import Guard, RowCap
 from repro.queries.pattern import Pattern, PEdge
 
 
 @dataclass
 class SimResult:
-    """Final FB sets, per-node cardinalities, and passes to converge.
+    """Final FB sets, per-node cardinalities, and passes to converge."""
 
-    ``fb`` holds DataFrames, or numpy arrays in a ``LocalSets`` when the
-    simulation ran on the driver.
-    """
-
-    fb: dict[int, DataFrame] | LocalSets
+    fb: LocalSets
     counts: dict[int, int]
     passes: int
     converged: bool
@@ -66,51 +57,20 @@ class SimResult:
         return any(c == 0 for c in self.counts.values())
 
 
-def checkpoint_and_count(
-    frames: dict[int, DataFrame],
-) -> tuple[dict[int, DataFrame], dict[int, int]]:
-    """Checkpoint all frames in ONE job and count them in one more.
+def collect_match_sets(ctx: MatchContext, p: Pattern) -> LocalSets:
+    """Every ``ms(q)`` and ``ms(e)`` of ``p`` as driver arrays.
 
-    The frames are tagged with their key and unioned so a simulation
-    pass or a RIG expansion costs O(1) Spark actions instead of one per
-    query node or edge — the difference between ~5s and ~60s per
-    simulation on 20-node patterns (the paper batches the same phases
-    with bitmap unions). The per-key views handed back are cheap filters
-    over the checkpointed union.
-    """
-    combined = None
-    for k in sorted(frames):
-        tagged = frames[k].select(F.lit(k).alias("_k"), *frames[k].columns)
-        combined = tagged if combined is None else combined.unionByName(tagged)
-    combined = combined.localCheckpoint(eager=True)
-    counted = {
-        r["_k"]: r["n"]
-        for r in combined.groupBy("_k").agg(F.count("*").alias("n")).collect()
-    }
-    views = {
-        k: combined.where(F.col("_k") == k).select(*frames[k].columns) for k in frames
-    }
-    return views, {k: int(counted.get(k, 0)) for k in sorted(frames)}
-
-
-def collect_match_sets(
-    ctx: MatchContext, p: Pattern,
-) -> tuple[LocalSets | None, dict[int, int]]:
-    """Every ``ms(q)`` and ``ms(e)`` of ``p`` as driver arrays, or None; and ``|ms(q)|``.
-
-    The one choice between the substrates, made from the counts the
-    ``MatchContext`` took at set-up, with no Spark job: when the sets
-    total at most ``LOCAL_MAX_ROWS`` rows, one job ships each distinct
-    key of ``p`` once, and the driver splits the rows into sorted
-    arrays; otherwise nothing is collected and the query stays on
-    Spark. Nodes or edges with the same key share one read-only array.
+    Sized from the counts the ``MatchContext`` took at set-up, with no
+    Spark job: when the sets total more than ``LOCAL_MAX_ROWS`` rows,
+    raises ``RowCap`` (OM). Otherwise one job ships each distinct key of
+    ``p`` once, and the driver splits the rows into sorted arrays.
+    Nodes or edges with the same key share one read-only array.
     """
     node_keys = {q: ctx.node_key(p, q) for q in p.node_ids()}
     edge_keys = {e: ctx.edge_key(p, e) for e in p.edges}
-    node_counts = ctx.ms_node_sizes(p)
-    total = sum(node_counts.values()) + sum(ctx.sizes[k] for k in edge_keys.values())
+    total = sum(ctx.sizes[k] for k in [*node_keys.values(), *edge_keys.values()])
     if total > local.LOCAL_MAX_ROWS:
-        return None, node_counts
+        raise RowCap(f"match sets of {total} rows > {local.LOCAL_MAX_ROWS} on the driver")
     keys = sorted(set(node_keys.values()) | set(edge_keys.values()))
     pdf = ctx.tagged_rows(keys).toPandas()
     k, src, dst = (pdf[c].to_numpy(np.int64) for c in ("_k", "src", "dst"))
@@ -119,11 +79,10 @@ def collect_match_sets(
     rows.setflags(write=False)
     bounds = np.searchsorted(k[order], np.arange(len(keys) + 1))
     part = {key: rows[bounds[i]:bounds[i + 1]] for i, key in enumerate(keys)}
-    sets = LocalSets(
+    return LocalSets(
         {q: part[key][:, 0] for q, key in node_keys.items()},
         {e: part[key] for e, key in edge_keys.items()},
     )
-    return sets, node_counts
 
 
 # A pass is a list of prune steps (edge, forward): forward keeps the
@@ -146,18 +105,7 @@ def _dag_delta_steps(p: Pattern) -> list[tuple[PEdge, bool]]:
     )
 
 
-def _spark_prune(ctx: MatchContext, p: Pattern):
-    def prune(fb: dict, e: PEdge, forward: bool) -> None:
-        ms = ctx.ms_edge(p, e)
-        keep, other = (e.src, e.dst) if forward else (e.dst, e.src)
-        kcol, ocol = ("src", "dst") if forward else ("dst", "src")
-        valid = ms.join(fb[other], ms[ocol] == fb[other]["id"], "leftsemi").select(kcol)
-        fb[keep] = fb[keep].join(valid, fb[keep]["id"] == valid[kcol], "leftsemi")
-
-    return prune
-
-
-def _local_prune(fb: LocalSets, e: PEdge, forward: bool) -> None:
+def _prune(fb: LocalSets, e: PEdge, forward: bool) -> None:
     rows = fb.ms_edges[e]
     keep, other = (e.src, e.dst) if forward else (e.dst, e.src)
     kcol, ocol = (0, 1) if forward else (1, 0)
@@ -165,14 +113,13 @@ def _local_prune(fb: LocalSets, e: PEdge, forward: bool) -> None:
     fb[keep] = fb[keep][np.isin(fb[keep], valid)]
 
 
-def _local_counts(fb: LocalSets) -> tuple[LocalSets, dict[int, int]]:
-    return fb, {q: len(ids) for q, ids in fb.items()}
+def _counts(fb: LocalSets) -> dict[int, int]:
+    return {q: len(ids) for q, ids in fb.items()}
 
 
-def _run_passes(
-    fb, counts, prune, materialize, steps, *, max_passes, guard: Guard | None
-) -> SimResult:
-    """Shared driver loop: apply ``steps`` per pass until FB stabilizes."""
+def _run_passes(fb: LocalSets, steps, *, max_passes, guard: Guard | None) -> SimResult:
+    """Shared loop: apply ``steps`` per pass until FB stabilizes."""
+    counts = _counts(fb)
     passes = 0
     converged = False
     while max_passes is None or passes < max_passes:
@@ -180,8 +127,8 @@ def _run_passes(
             converged = True  # empty FB: early termination (§4.3 example)
             break
         for e, forward in steps:
-            prune(fb, e, forward)
-        fb, new_counts = materialize(fb)
+            _prune(fb, e, forward)
+        new_counts = _counts(fb)
         passes += 1
         if guard is not None:
             guard.tick(max(new_counts.values()))
@@ -196,10 +143,9 @@ def fb_sim_bas(
     ctx: MatchContext, p: Pattern, *, max_passes: int | None = None,
     guard: Guard | None = None,
 ) -> SimResult:
-    """FBSimBas (Algorithm 1) on Spark: edge-order forward then backward prunes."""
-    fb = {q: ctx.ms_node(p, q) for q in p.node_ids()}
-    return _run_passes(fb, ctx.ms_node_sizes(p), _spark_prune(ctx, p), checkpoint_and_count,
-                       _bas_steps(p.edges), max_passes=max_passes, guard=guard)
+    """FBSimBas (Algorithm 1): edge-order forward then backward prunes."""
+    return _run_passes(collect_match_sets(ctx, p), _bas_steps(p.edges),
+                       max_passes=max_passes, guard=guard)
 
 
 def fb_sim(
@@ -208,14 +154,7 @@ def fb_sim(
 ) -> SimResult:
     """FBSim (Algorithm 3), "Dag+Δ": a DAG-ordered sweep over the
     spanning-DAG edges, then a FBSimBas sweep over the back edges (none
-    when Q is a DAG), repeated until FB stabilizes. Runs on the driver
-    when :func:`collect_match_sets` brings the match sets there.
+    when Q is a DAG), repeated until FB stabilizes.
     """
-    sets, counts = collect_match_sets(ctx, p)
-    if sets is None:
-        fb = {q: ctx.ms_node(p, q) for q in p.node_ids()}
-        prune, materialize = _spark_prune(ctx, p), checkpoint_and_count
-    else:
-        fb, prune, materialize = sets, _local_prune, _local_counts
-    return _run_passes(fb, counts, prune, materialize, _dag_delta_steps(p),
+    return _run_passes(collect_match_sets(ctx, p), _dag_delta_steps(p),
                        max_passes=max_passes, guard=guard)

@@ -40,9 +40,9 @@ ROW_CAP = 2_000_000
 MATCH_LIMIT = 20_000
 CATALOG_CAP = 470_000  # GF catalog footprint cap (entries); see engines.py
 SUBSTRATES_NOTE = (
-    f"GM runs on the driver when a query's ms(q) and ms(e) total at most "
-    f"{LOCAL_MAX_ROWS} rows, on Spark otherwise; JM and TM pre-filter and expand "
-    f"on the same substrate as GM and join on Spark; Neo4j, GF and EH run on Spark."
+    "GM, GF and EH enumerate, and JM and TM pre-filter, on the driver after one Spark "
+    f"job collects the query's ms(q) and ms(e) (OM above {LOCAL_MAX_ROWS} rows); JM, TM "
+    "and Neo4j join on Spark."
 )
 
 
@@ -89,19 +89,15 @@ def _fmt_run(r: RunResult) -> str:
 def _run_gm(ctx, p, *, time_limit_s: float | None = None, **kw) -> RunResult:
     """GM with capped enumeration (paper: first 10^7 matches; here MATCH_LIMIT).
 
-    ``partial_cap`` bounds the partial matches of every MJoin step on
-    both substrates: an in-plan limit on Spark, and on the driver a cap
-    on each backtracking depth. Without it, a lazy multi-way join over a
-    near-complete closure would compute the full (astronomical) answer
-    before the limit applies, and backtracking over many partial
-    matches with few full answers would run unbounded. The run goes
-    through ``run_guarded``, so a failure is a TO or ER cell, not an
-    aborted table; the guard reaches ``gm`` only with a time budget,
-    since a guarded Spark MJoin materializes every step.
+    ``partial_cap`` caps the partial matches of each MJoin backtracking
+    depth: without it, backtracking over a near-complete closure with
+    many partial matches and few full answers would run unbounded. The
+    run goes through ``run_guarded``, so a failure is a TO, OM or ER
+    cell, not an aborted table. The guard always reaches ``gm``; without
+    a time budget it only records rows.
     """
     def run(guard):
-        res = gm(ctx, p, limit=MATCH_LIMIT, partial_cap=2 * MATCH_LIMIT,
-                 guard=guard if time_limit_s is not None else None, **kw)
+        res = gm(ctx, p, limit=MATCH_LIMIT, partial_cap=2 * MATCH_LIMIT, guard=guard, **kw)
         return res.count()
 
     return run_guarded(run, time_limit_s=time_limit_s)

@@ -4,9 +4,7 @@ The root conftest provides the session-scoped ``spark`` fixture. Here we
 add per-session caches so the expensive pieces (graph generation,
 transitive closure) are computed once per (dataset, scale) across the
 whole test session, plus small hand-rolled graphs for brute-force
-comparisons, and ``substrates``, which runs a check on both
-substrates: Spark, and the driver that ``collect_match_sets`` ships a
-query's match sets to.
+comparisons.
 """
 from __future__ import annotations
 
@@ -14,7 +12,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import local
 from repro.core.matchsets import MatchContext
 from repro.graphs.datasets import load_dataset
 from repro.graphs.model import Graph, graph_from_pandas
@@ -66,27 +63,3 @@ def tiny_ctx_for(spark):
 
     return get
 
-
-# LOCAL_MAX_ROWS that forces each substrate: 0 keeps every query with a
-# non-empty match set on Spark; a billion sends every test query to the
-# driver.
-SUBSTRATES = {"spark": 0, "local": 10**9}
-
-
-@pytest.fixture
-def substrates(monkeypatch):
-    """``for s in substrates(): ...`` runs the body once per substrate.
-
-    Each iteration sets ``LOCAL_MAX_ROWS`` so that everything that
-    takes its match sets from ``collect_match_sets`` runs on substrate
-    ``s``: GM's simulation, RIG and MJoin, and the node pre-filter and
-    RIG expansion of GM-F, JM and TM. Looping inside one test keeps the
-    test's id while checking both substrates.
-    """
-
-    def each():
-        for name, cap in SUBSTRATES.items():
-            monkeypatch.setattr(local, "LOCAL_MAX_ROWS", cap)
-            yield name
-
-    return each

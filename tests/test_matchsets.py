@@ -100,7 +100,7 @@ def test_labelled_relation_on_a_cyclic_graph(cyclic):
             view = ctx.ms_edge(p, p.edges[0])
             got = {(r["src"], r["dst"]) for r in view.collect()}
             assert got == {(s, d) for s, d in pairs if (lab[s], lab[d]) == (ls, ld)}
-            assert pair_set(collect_match_sets(ctx, p)[0].ms_edges[p.edges[0]]) == got
+            assert pair_set(collect_match_sets(ctx, p).ms_edges[p.edges[0]]) == got
             assert ctx.sizes[ctx.edge_key(p, p.edges[0])] == view.count()
     for ls in labels:
         p = Pattern.of({0: ls, 1: ls}, [(0, 1, DESC)])

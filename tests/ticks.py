@@ -1,4 +1,4 @@
-"""A guard that records its ticks, to compare the substrates' budgets."""
+"""A guard that records its ticks, to check what an algorithm reports to its budgets."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
