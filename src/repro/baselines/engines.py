@@ -5,8 +5,9 @@ JVM/C++ engines, so we simulate each with this repository's parts,
 preserving the cost structure the paper attributes to it (see DESIGN.md
 "Substitutions"). GF and EH collect the query's match sets to the driver
 in one Spark job and build the match RIG and probe it there, as GM
-does (sets too large to collect raise ``RowCap``: OM); Neo4j joins on
-Spark:
+does; Neo4j joins the collected ``ms(e)`` there with JM's
+``binary_join``. Sets too large to collect raise ``RowCap`` (OM)
+before any Spark job:
 
 * **GF** (GraphflowDB [38]) — must build a *catalog* of subgraph
   cardinalities before answering anything. We materialize the
@@ -25,8 +26,8 @@ Spark:
   matching Table 5's two rows.
 * **Neo4j** — binary joins in syntactic edge order: no global join
   optimizer, no pruning, reachability edges via the reach relation
-  (the APOC-expansion analogue). Guarded per step -> TO on the queries
-  Neo4j cannot finish.
+  (the APOC-expansion analogue). Guarded per step -> TO or OM on the
+  queries Neo4j cannot finish.
 """
 from __future__ import annotations
 
@@ -166,6 +167,4 @@ def neo4j(
         pending.remove(e)
         order.append(e)
         bound |= {e.src, e.dst}
-    rels = {e: ctx.ms_edge(p, e) for e in p.edges}
-    out = binary_join(p, rels, order, guard=guard)
-    return out if limit is None else out.limit(limit)
+    return binary_join(p, collect_match_sets(ctx, p).ms_edges, order, limit=limit, guard=guard)

@@ -3,33 +3,32 @@
 JM decomposes the query into its edges and takes one node-pre-filtered
 match relation per edge [11,63]: the ``cos(e)`` that
 ``repro.core.rig.expand_rig`` builds from the pre-filtered node sets, as
-for GM-F. Pre-filtering and expansion run on the driver, after one
-collect of the query's match sets (``repro.baselines.prefilter``), and
-:func:`edge_relations` hands their ``cos(e)`` to Spark; the joins
-themselves run on Spark. It picks an optimized *left-deep* plan
-by exhaustive dynamic programming over edge orders, and evaluates it as
-a sequence of binary (edge-at-a-time) joins. Its two documented
-failure modes, which the guard surfaces as the paper's statuses:
+for GM-F. After one collect of the query's match sets
+(``repro.baselines.prefilter``), everything runs on the driver:
+pre-filtering, expansion and the joins. It picks an optimized
+*left-deep* plan by exhaustive dynamic programming over edge orders,
+and evaluates it with :func:`binary_join`, a sequence of binary
+(edge-at-a-time) joins that TM and the Neo4j simulator share. Its two
+documented failure modes, which the guard surfaces as the paper's
+statuses:
 
-* **OM** — intermediate join results explode (each step materializes
-  the partial relation; ``guard.tick(rows)`` trips the row cap);
+* **OM** — intermediate join results explode: each step builds the
+  partial relation in full, and ``guard.tick(rows)`` trips the row cap
+  with the step's exact size, counted before the step is built;
 * **TO** — the DP planner enumerates exponentially many plans for
   queries with tens of nodes (the paper reports 2.4M plans for a
   24-node query), tripping the wall clock before evaluation starts.
 """
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.baselines.prefilter import prefilter_nodes
+from repro.core.local import answer_frame
 from repro.core.matchsets import MatchContext
-from repro.core.rig import RIG, expand_rig
+from repro.core.rig import expand_rig
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
 from repro.queries.sql import col_name
@@ -73,71 +72,42 @@ def plan_left_deep(
     return list(states[(1 << len(edges)) - 1][2])
 
 
-def edge_relations(ctx: MatchContext, rig: RIG) -> dict[PEdge, DataFrame]:
-    """Every ``cos(e)`` of ``rig`` as the ``(src, dst)`` DataFrame binary joins read.
-
-    The non-empty ones go to Spark in one ``createDataFrame``, tagged by
-    edge and split into filter views; an empty one becomes
-    ``ms(e).limit(0)``: Catalyst folds every join over it, so those
-    joins start no Spark job, where a zero-row ``createDataFrame`` would
-    be scanned and joined.
-    """
-    p = rig.pattern
-    rels = {e: ctx.ms_edge(p, e).limit(0) for e, n in rig.edge_counts.items() if n == 0}
-    full = [(i, e) for i, e in enumerate(p.edges) if e not in rels]
-    if full:
-        rows = np.concatenate([rig.cos_edges[e] for _, e in full])
-        tags = np.repeat([i for i, _ in full], [rig.edge_counts[e] for _, e in full])
-        spark = ctx.graph.nodes.sparkSession
-        tagged = spark.createDataFrame(
-            pd.DataFrame({"_k": tags, "src": rows[:, 0], "dst": rows[:, 1]}),
-            schema="_k INT, src LONG, dst LONG",
-        )
-        for i, e in full:
-            rels[e] = tagged.where(F.col("_k") == i).select("src", "dst")
-    return rels
+def _join_size(partial: pd.DataFrame, rel: pd.DataFrame, on: list[str]) -> int:
+    """The row count of ``partial ⋈ rel`` on ``on``, from the key counts of both sides."""
+    left, right = partial.value_counts(on).align(rel.value_counts(on), join="inner")
+    return int((left * right).sum())
 
 
 def binary_join(
-    p: Pattern, rels: dict[PEdge, DataFrame], order: list[PEdge],
-    *, guard: Guard | None = None,
+    p: Pattern, rels: dict[PEdge, np.ndarray], order: list[PEdge],
+    *, limit: int | None = None, guard: Guard | None = None,
 ) -> DataFrame:
-    """Edge-at-a-time binary joins of ``rels`` along ``order``.
+    """Edge-at-a-time binary joins of ``rels`` along ``order``, on the driver.
 
+    Each relation is an ``(n, 2)`` int64 array of ``(src, dst)`` rows.
     The partial relation is seeded from ``order[0]``; every later edge
-    must touch a bound node and is joined on its bound endpoint(s), one
-    or both. Each intermediate is materialized, and counted when guarded,
-    which is exactly where JM, TM and Neo4j explode (guard -> OM/TO).
-    Once a count is 0, every later intermediate is empty too: the rest
-    of the plan reads ``limit(0)``, which Catalyst folds, and the guard
-    is ticked with 0 per step without a job. Returns one column per node
-    of ``p``, in ``p.node_ids()`` order.
+    must touch a bound node and is merged on its bound endpoint(s), one
+    or both (with both, the step is a semi-join filter, since the rows
+    of a relation are distinct). Each intermediate is built in full,
+    which is exactly where JM, TM and Neo4j explode: the guard is
+    ticked with its exact row count, taken from the key counts of both
+    sides before the merge allocates it (guard -> OM/TO). The first
+    ``limit`` answers, one column per node of ``p`` in ``p.node_ids()``
+    order, come back through ``answer_frame``, so the frame's
+    ``count()`` starts no Spark job.
     """
-    first = order[0]
-    partial = rels[first].select(
-        F.col("src").alias(col_name(first.src)),
-        F.col("dst").alias(col_name(first.dst)),
-    )
-    bound = {first.src, first.dst}
-    empty = False
+    def frame(e: PEdge) -> pd.DataFrame:
+        return pd.DataFrame(rels[e], columns=[col_name(e.src), col_name(e.dst)])
+
+    partial = frame(order[0])
     for e in order[1:]:
-        ends = ((e.src, "src"), (e.dst, "dst"))
-        rel = rels[e].select(*[
-            F.col(c).alias(f"_{c}" if q in bound else col_name(q)) for q, c in ends
-        ])
-        on = [partial[col_name(q)] == rel[f"_{c}"] for q, c in ends if q in bound]
-        partial = partial.join(rel, reduce(and_, on)).drop("_src", "_dst")
-        bound |= {e.src, e.dst}
-        if empty:
-            guard.tick(0)
-            continue
-        partial = partial.localCheckpoint(eager=True)
+        rel = frame(e)
+        on = [c for c in rel.columns if c in partial.columns]
         if guard is not None:
-            n = partial.count()
-            guard.tick(n)
-            if n == 0:
-                partial, empty = partial.limit(0), True
-    return partial.select(*[col_name(q) for q in p.node_ids()])
+            guard.tick(_join_size(partial, rel, on))
+        partial = partial.merge(rel, on=on)
+    cols = [col_name(q) for q in p.node_ids()]
+    return answer_frame(partial[cols].to_numpy(np.int64)[:limit], cols)
 
 
 def jm(
@@ -150,5 +120,4 @@ def jm(
     """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
     rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     plan = plan_left_deep(p, rig.edge_counts, ctx.ms_node_sizes(p), guard=guard)
-    out = binary_join(p, edge_relations(ctx, rig), plan, guard=guard)
-    return out if limit is None else out.limit(limit)
+    return binary_join(p, rig.cos_edges, plan, limit=limit, guard=guard)

@@ -3,10 +3,13 @@
 TM extracts a spanning tree of the query, evaluates the tree pattern
 (joins in BFS discovery order — every join is a parent-child extension,
 so tree evaluation itself never cross-joins), then post-filters the
-tree solutions against every non-tree edge's match relation. Its
-failure mode (paper: mostly TO) is a huge tree-solution set when the
-non-tree edges are the selective ones — all that work is materialized
-before the filters apply; the guard reproduces it.
+tree solutions against every non-tree edge's match relation. Both are
+``repro.baselines.jm.binary_join`` over the pre-filtered ``cos(e)``,
+on the driver, along the tree edges and then the non-tree edges: a
+non-tree edge has both endpoints bound, so its step is a semi-join
+filter. Its failure mode (paper: mostly TO) is a huge tree-solution
+set when the non-tree edges are the selective ones — all that work is
+materialized before the filters apply; the guard reproduces it.
 """
 from __future__ import annotations
 
@@ -14,13 +17,12 @@ from collections import deque
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.jm import binary_join, edge_relations
+from repro.baselines.jm import binary_join
 from repro.baselines.prefilter import prefilter_nodes
 from repro.core.matchsets import MatchContext
 from repro.core.rig import expand_rig
 from repro.harness.runner import Guard
 from repro.queries.pattern import Pattern, PEdge
-from repro.queries.sql import col_name
 
 
 def spanning_tree(p: Pattern) -> tuple[list[PEdge], list[PEdge]]:
@@ -54,16 +56,7 @@ def tm(
 ) -> DataFrame:
     """Evaluate the spanning tree, then filter by the missing edges."""
     rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
-    rels = edge_relations(ctx, rig)
     tree, non_tree = spanning_tree(p)
     # The tree-solution relation is materialized in full before any
     # non-tree filter runs — TM's documented bottleneck.
-    out = binary_join(p, rels, tree, guard=guard)
-    for e in non_tree:
-        rel = rels[e]
-        out = out.join(
-            rel,
-            (out[col_name(e.src)] == rel["src"]) & (out[col_name(e.dst)] == rel["dst"]),
-            "leftsemi",
-        )
-    return out if limit is None else out.limit(limit)
+    return binary_join(p, rig.cos_edges, tree + non_tree, limit=limit, guard=guard)

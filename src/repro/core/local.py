@@ -9,8 +9,9 @@ query's ``ms(q)`` and ``ms(e)`` reach the driver as a :class:`LocalSets`
 in one Spark job, each distinct key once
 (``repro.core.simulation.collect_match_sets``), and every later phase
 works on numpy arrays: FBSim and FBSimBas, the baselines' node
-pre-filter, RIG expansion and MJoin. When the sets total more than
-:data:`LOCAL_MAX_ROWS` rows by the set-up counts, the collect raises
+pre-filter, RIG expansion, MJoin and the baselines' binary joins. When
+the sets total more than :data:`LOCAL_MAX_ROWS` rows by the set-up
+counts, the collect raises
 ``RowCap`` before any Spark job, and a guarded run reports OM. The
 answers go back to Spark through :func:`answer_frame`, so every caller
 gets a DataFrame.

@@ -10,9 +10,12 @@ every edge (kind CHILD), every reachability pair (kind DESC) and every
 node as the pair ``(id, id)`` (kind NODE), each with its endpoints'
 labels. The same step counts its rows per ``(kind, ls, ld)`` key into
 ``sizes``, so every ``|ms(q)|`` and ``|ms(e)|`` is known without a
-Spark job. Each ``ms(e)`` is a filter view of that relation, cached per
-key and shared by simulation, RIG construction and the baselines — the
-role the paper's shared inverted lists and reachability index play.
+Spark job. A query reads its ``ms(q)`` and ``ms(e)`` from that relation
+in one Spark job (:meth:`MatchContext.tagged_rows`, collected by
+``repro.core.simulation.collect_match_sets``), so one relation serves
+every query and algorithm — the role the paper's shared inverted lists
+and reachability index play. :meth:`MatchContext.ms_edge` gives one
+``ms(e)`` as a filter view of it, cached per key.
 """
 from __future__ import annotations
 

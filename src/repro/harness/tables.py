@@ -40,9 +40,9 @@ ROW_CAP = 2_000_000
 MATCH_LIMIT = 20_000
 CATALOG_CAP = 470_000  # GF catalog footprint cap (entries); see engines.py
 SUBSTRATES_NOTE = (
-    "GM, GF and EH enumerate, and JM and TM pre-filter, on the driver after one Spark "
-    f"job collects the query's ms(q) and ms(e) (OM above {LOCAL_MAX_ROWS} rows); JM, TM "
-    "and Neo4j join on Spark."
+    "Every algorithm runs on the driver after one Spark job collects the query's ms(q) "
+    f"and ms(e) (OM above {LOCAL_MAX_ROWS} rows): GM, GF and EH enumerate a RIG, JM, TM "
+    "and Neo4j run binary joins."
 )
 
 

@@ -1,15 +1,16 @@
 """Tests for the JM / TM baselines and node pre-filtering."""
+import pandas as pd
 import pytest
 
 from repro.baselines.engines import neo4j
-from repro.baselines.jm import jm, plan_left_deep
+from repro.baselines.jm import binary_join, jm, plan_left_deep
 from repro.baselines.prefilter import prefilter_nodes
 from repro.baselines.tm import spanning_tree, tm
 from repro.core.gm import gm
 from repro.core.local import LocalSets
 from repro.core.rig import expand_rig
-from repro.core.simulation import fb_sim
-from repro.harness.runner import Guard, run_guarded
+from repro.core.simulation import collect_match_sets, fb_sim
+from repro.harness.runner import Guard, RowCap, run_guarded
 from repro.queries.pattern import CHILD, DESC, Pattern
 from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
@@ -78,12 +79,14 @@ class TestPrefilter:
             assert id_set(pf[q]) <= {r["id"] for r in ctx.ms_node(p, q).collect()}
 
 
+DQ9 = instantiate(9, qtype="D", n_labels=5, seed=1)  # directed triangle: 36 answers on tiny graph 0
+
 # HQ8 (84 answers on tiny graph 1) and the cyclic DQ9 (36 on tiny graph
 # 0) pre-filter to non-empty sets and cos(e); every pre-filtered set of
 # absent-label is empty, so its RIG is the early-exit one.
 SUBSTRATE_GRID = [
     pytest.param(1, instantiate(8, qtype="H", n_labels=5, seed=0), id="HQ8"),
-    pytest.param(0, instantiate(9, qtype="D", n_labels=5, seed=1), id="DQ9-cyclic"),
+    pytest.param(0, DQ9, id="DQ9-cyclic"),
     pytest.param(0, GRID[-1].values[0], id="absent-label"),
 ]
 
@@ -106,24 +109,84 @@ def test_substrates_agree_on_prefilter(tiny_ctx_for, seed, p):
 
 def test_prefilter_starts_one_job(tiny_ctx_for, spark):
     _, ctx = tiny_ctx_for(0)
-    p = instantiate(9, qtype="D", n_labels=5, seed=1)
-    (pf, _), jobs = spark_jobs(spark, lambda: prefilter_nodes(ctx, p))
+    (pf, _), jobs = spark_jobs(spark, lambda: prefilter_nodes(ctx, DQ9))
     assert isinstance(pf, LocalSets) and jobs == 1
 
 
-def test_jm_over_an_empty_prefilter_starts_at_most_one_job(tiny_ctx_for, spark):
-    # The collect is the one job: every join reads ms(e).limit(0),
-    # which Catalyst folds. Under a guard, JM and TM count their first
-    # intermediate too; it is empty, so no later step counts.
+BASELINES = [jm, tm, neo4j]
+
+
+@pytest.mark.parametrize("p", GRID)
+def test_baselines_start_one_job(tiny_ctx_for, spark, p):
+    # The collect of the query's match sets is the one job: the joins
+    # run on the driver and count() reads the listed rows.
     g, ctx = tiny_ctx_for(0)
-    p = GRID[-1].values[0]
-    df, jobs = spark_jobs(spark, lambda: jm(ctx, p))
-    assert jobs <= 1
-    assert answer_set(df) == homomorphisms(p, *g.to_pandas()) == set()
-    for alg in (jm, tm):
-        df, jobs = spark_jobs(spark, lambda: alg(ctx, p, guard=Guard()))
-        assert jobs <= 2
-        assert answer_set(df) == set()
+    expected = homomorphisms(p, *g.to_pandas())
+    for alg in BASELINES:
+        for guard in (None, Guard()):
+            def run():
+                df = alg(ctx, p, guard=guard)
+                return df, df.count()
+            (df, n), jobs = spark_jobs(spark, run)
+            assert jobs == 1, (alg.__name__, guard)
+            assert n == len(expected) and answer_set(df) == expected
+
+
+def _merge_sizes(monkeypatch) -> list[int]:
+    """The row count of every ``DataFrame.merge`` from now on, in call order."""
+    sizes, merge = [], pd.DataFrame.merge
+
+    def counted(*args, **kwargs):
+        out = merge(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(pd.DataFrame, "merge", counted)
+    return sizes
+
+
+def test_binary_join_ticks_each_intermediate_before_building_it(tiny_ctx_for, monkeypatch):
+    # DQ9's spanning tree binds one new node per step; its closing edge
+    # joins on both endpoints. The guard sees every step's exact size.
+    g, ctx = tiny_ctx_for(0)
+    tree, non_tree = spanning_tree(DQ9)
+    assert len(tree) == 2 and len(non_tree) == 1
+    rels = collect_match_sets(ctx, DQ9).ms_edges
+    sizes, guard = _merge_sizes(monkeypatch), TickLog()
+    df = binary_join(DQ9, rels, tree + non_tree, guard=guard)
+    assert guard.ticks == sizes and len(sizes) == 2
+    assert sizes[0] > sizes[1] == df.count() == len(homomorphisms(DQ9, *g.to_pandas()))
+
+
+# A path of reachability edges over four labels. Every intermediate of
+# JM's, TM's and Neo4j's plans is smaller than the answer, 240 rows on
+# tiny graph 0, which the last join builds.
+PATH3 = Pattern.of({0: "L0", 1: "L1", 2: "L2", 3: "L3"}, [(0, 1, DESC), (1, 2, DESC), (2, 3, DESC)])
+
+
+@pytest.mark.parametrize("alg", BASELINES, ids=lambda f: f.__name__)
+def test_row_cap_binds_before_the_intermediate_is_built(tiny_ctx_for, monkeypatch, alg):
+    g, ctx = tiny_ctx_for(0)
+    n = len(homomorphisms(PATH3, *g.to_pandas()))
+    uncapped = TickLog()
+    alg(ctx, PATH3, guard=uncapped)
+    assert uncapped.max_rows_seen == uncapped.ticks[-1] == n
+    assert max(t for t in uncapped.ticks[:-1] if t is not None) < n
+    sizes, guard = _merge_sizes(monkeypatch), Guard(row_cap=n - 1)
+    with pytest.raises(RowCap):
+        alg(ctx, PATH3, guard=guard)
+    assert guard.max_rows_seen == n
+    assert max(sizes) < n  # the over-cap intermediate was never built
+
+
+@pytest.mark.parametrize("alg", BASELINES, ids=lambda f: f.__name__)
+def test_capped_baseline_is_reproducible(tiny_ctx_for, alg):
+    # DQ9 has 36 answers on tiny graph 0; five of them are listed, the
+    # same five on every call.
+    g, ctx = tiny_ctx_for(0)
+    runs = [[tuple(r) for r in alg(ctx, DQ9, limit=5, guard=Guard()).collect()] for _ in range(2)]
+    assert len(runs[0]) == 5 and runs[0] == runs[1]
+    assert set(runs[0]) <= homomorphisms(DQ9, *g.to_pandas())
 
 
 class TestSpanningTree:

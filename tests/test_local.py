@@ -7,7 +7,7 @@ pass-by-pass guard ticks, capped runs, budgets and the job-free count.
 import numpy as np
 import pytest
 
-from repro.baselines.engines import _match_rig, child_only_on_closure, eh, gf
+from repro.baselines.engines import _match_rig, child_only_on_closure, eh, gf, neo4j
 from repro.baselines.jm import jm
 from repro.baselines.tm import tm
 from repro.core import local
@@ -105,6 +105,7 @@ ABOVE_LIMIT = [
       for v in VARIANTS),
     pytest.param(lambda c, tc: jm(c, DQ9, guard=Guard()).count(), id="jm"),
     pytest.param(lambda c, tc: tm(c, DQ9, guard=Guard()).count(), id="tm"),
+    pytest.param(lambda c, tc: neo4j(c, DQ9, guard=Guard()).count(), id="neo4j"),
     pytest.param(lambda c, tc: gf(tc, child_only_on_closure(DQ9), guard=Guard()).count(),
                  id="gf"),
     pytest.param(lambda c, tc: eh(c, DQ9, guard=Guard())[0].count(), id="eh"),
