@@ -132,6 +132,20 @@ def test_baselines_start_one_job(tiny_ctx_for, spark, p):
             assert n == len(expected) and answer_set(df) == expected
 
 
+def test_jm_over_an_empty_prefilter_starts_at_most_one_job(tiny_ctx_for, spark):
+    # The collect is the one job: an empty match set empties the driver
+    # joins without another Spark action, guarded or not.
+    g, ctx = tiny_ctx_for(0)
+    p = GRID[-1].values[0]
+    df, jobs = spark_jobs(spark, lambda: jm(ctx, p))
+    assert jobs <= 1
+    assert answer_set(df) == homomorphisms(p, *g.to_pandas()) == set()
+    for alg in (jm, tm):
+        df, jobs = spark_jobs(spark, lambda: alg(ctx, p, guard=Guard()))
+        assert jobs <= 1
+        assert answer_set(df) == set()
+
+
 def _merge_sizes(monkeypatch) -> list[int]:
     """The row count of every ``DataFrame.merge`` from now on, in call order."""
     sizes, merge = [], pd.DataFrame.merge
