@@ -6,8 +6,9 @@ preserving the cost structure the paper attributes to it (see DESIGN.md
 "Substitutions"). GF and EH collect the query's match sets to the driver
 in one Spark job and build the match RIG and probe it there, as GM
 does; Neo4j joins the collected ``ms(e)`` there with JM's
-``binary_join``. Sets too large to collect raise ``RowCap`` (OM)
-before any Spark job:
+``binary_join``. Every engine returns its answers on the driver as
+``repro.core.local.Answers``. Sets too large to collect raise
+``RowCap`` (OM) before any Spark job:
 
 * **GF** (GraphflowDB [38]) — must build a *catalog* of subgraph
   cardinalities before answering anything. We materialize the
@@ -34,10 +35,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines.jm import binary_join
+from repro.core.local import Answers
 from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import jo_order
@@ -106,8 +107,8 @@ def gf(
     *,
     limit: int | None = None,
     guard: Guard | None = None,
-) -> DataFrame:
-    """GF query evaluation: WCO join straight on the data graph.
+) -> Answers:
+    """GF query evaluation: WCO join straight on the data graph; returns ``Answers``.
 
     Child edges only — callers evaluating D-queries must hand in a
     MatchContext whose graph edges are the materialized transitive
@@ -135,10 +136,10 @@ def eh(
     *,
     limit: int | None = None,
     guard: Guard | None = None,
-) -> tuple[DataFrame, float]:
+) -> tuple[Answers, float]:
     """EmptyHeaded: match-RIG precomputation, then WCO probe.
 
-    Returns ``(answer_df, precompute_seconds)`` so Table 5 can report
+    Returns ``(answers, precompute_seconds)`` so Table 5 can report
     both EH (with precomputation) and EH-probe (without).
     """
     t0 = time.perf_counter()
@@ -156,8 +157,8 @@ def neo4j(
     *,
     limit: int | None = None,
     guard: Guard | None = None,
-) -> DataFrame:
-    """Binary joins in syntactic order, no reordering, no pruning."""
+) -> Answers:
+    """Binary joins in syntactic order, no reordering, no pruning; returns ``Answers``."""
     # Cypher-style expansion: take the next edge touching the bound
     # prefix (Neo4j never reorders globally).
     order, pending = [p.edges[0]], list(p.edges[1:])

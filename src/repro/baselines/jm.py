@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.baselines.prefilter import prefilter_nodes
-from repro.core.local import answer_frame
+from repro.core.local import Answers
 from repro.core.matchsets import MatchContext
 from repro.core.rig import expand_rig
 from repro.harness.runner import Guard
@@ -81,7 +80,7 @@ def _join_size(partial: pd.DataFrame, rel: pd.DataFrame, on: list[str]) -> int:
 def binary_join(
     p: Pattern, rels: dict[PEdge, np.ndarray], order: list[PEdge],
     *, limit: int | None = None, guard: Guard | None = None,
-) -> DataFrame:
+) -> Answers:
     """Edge-at-a-time binary joins of ``rels`` along ``order``, on the driver.
 
     Each relation is an ``(n, 2)`` int64 array of ``(src, dst)`` rows.
@@ -93,8 +92,7 @@ def binary_join(
     ticked with its exact row count, taken from the key counts of both
     sides before the merge allocates it (guard -> OM/TO). The first
     ``limit`` answers, one column per node of ``p`` in ``p.node_ids()``
-    order, come back through ``answer_frame``, so the frame's
-    ``count()`` starts no Spark job.
+    order, come back as :class:`Answers`.
     """
     def frame(e: PEdge) -> pd.DataFrame:
         return pd.DataFrame(rels[e], columns=[col_name(e.src), col_name(e.dst)])
@@ -107,7 +105,7 @@ def binary_join(
             guard.tick(_join_size(partial, rel, on))
         partial = partial.merge(rel, on=on)
     cols = [col_name(q) for q in p.node_ids()]
-    return answer_frame(partial[cols].to_numpy(np.int64)[:limit], cols)
+    return Answers(partial[cols].to_numpy(np.int64)[:limit], cols)
 
 
 def jm(
@@ -116,8 +114,8 @@ def jm(
     *,
     limit: int | None = None,
     guard: Guard | None = None,
-) -> DataFrame:
-    """Evaluate Q with edge-at-a-time binary joins along the DP plan."""
+) -> Answers:
+    """Evaluate Q with edge-at-a-time binary joins along the DP plan; returns ``Answers``."""
     rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     plan = plan_left_deep(p, rig.edge_counts, ctx.ms_node_sizes(p), guard=guard)
     return binary_join(p, rig.cos_edges, plan, limit=limit, guard=guard)

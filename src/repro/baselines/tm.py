@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from pyspark.sql import DataFrame
-
 from repro.baselines.jm import binary_join
 from repro.baselines.prefilter import prefilter_nodes
+from repro.core.local import Answers
 from repro.core.matchsets import MatchContext
 from repro.core.rig import expand_rig
 from repro.harness.runner import Guard
@@ -53,8 +52,8 @@ def tm(
     *,
     limit: int | None = None,
     guard: Guard | None = None,
-) -> DataFrame:
-    """Evaluate the spanning tree, then filter by the missing edges."""
+) -> Answers:
+    """Evaluate the spanning tree, then filter by the missing edges; returns ``Answers``."""
     rig = expand_rig(p, *prefilter_nodes(ctx, p, guard=guard), guard=guard)
     tree, non_tree = spanning_tree(p)
     # The tree-solution relation is materialized in full before any

@@ -13,16 +13,16 @@ Every variant collects the query's match sets to the driver in one
 Spark job, then selects its nodes (double simulation, or GM-F's
 pre-filter), builds the RIG and enumerates there (repro.core.local).
 Match sets too large to collect raise ``RowCap``, which a guarded run
-reports as OM. ``timings["mjoin_build"]`` times the enumeration itself.
+reports as OM. ``timings["mjoin_build"]`` times the enumeration itself,
+and ``GMResult.df`` holds the answers on the driver as ``Answers``.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
-
 from repro.baselines.prefilter import prefilter_nodes
+from repro.core.local import Answers
 from repro.core.matchsets import MatchContext
 from repro.core.mjoin import mjoin
 from repro.core.ordering import pick_order
@@ -36,9 +36,9 @@ VARIANTS = ("gm", "gm-f", "gm-nr")
 
 @dataclass
 class GMResult:
-    """Answer DataFrame plus the phase metrics the paper reports."""
+    """The answers, as :class:`Answers`, plus the phase metrics the paper reports."""
 
-    df: DataFrame
+    df: Answers
     rig: RIG
     order: list[int]
     pattern: Pattern

@@ -13,14 +13,15 @@ pre-filter, RIG expansion, MJoin and the baselines' binary joins. When
 the sets total more than :data:`LOCAL_MAX_ROWS` rows by the set-up
 counts, the collect raises
 ``RowCap`` before any Spark job, and a guarded run reports OM. The
-answers go back to Spark through :func:`answer_frame`, so every caller
-gets a DataFrame.
+answers stay on the driver as :class:`Answers`, and no Spark job runs
+after the collect.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.queries.pattern import PEdge
 
@@ -54,15 +55,19 @@ class LocalSets(dict):
         self.ms_edges = ms_edges
 
 
-def answer_frame(rows: np.ndarray, cols: list[str]) -> DataFrame:
-    """Answer rows held on the driver as a DataFrame of LONG ``cols``.
+@dataclass
+class Answers:
+    """Answer rows on the driver: an ``(n, k)`` int64 array and its ``q{id}`` column names.
 
-    The rows are already counted, so the frame's ``count()`` returns
-    their number without running a Spark job.
+    ``count()`` and ``toPandas()`` read the listed rows, so neither
+    starts a Spark job.
     """
-    spark = SparkSession.builder.getOrCreate()
-    df = spark.createDataFrame(
-        pd.DataFrame(rows, columns=cols), schema=", ".join(f"{c} LONG" for c in cols)
-    )
-    df.count = lambda: len(rows)
-    return df
+
+    rows: np.ndarray
+    cols: list[str]
+
+    def count(self) -> int:
+        return len(self.rows)
+
+    def toPandas(self) -> pd.DataFrame:
+        return pd.DataFrame(self.rows, columns=self.cols)

@@ -5,21 +5,24 @@
 with matching labels such that (u,v) is an edge (child edge) or u ≺ v
 (reachability edge). A :class:`MatchContext` owns the data graph and its
 materialized reachability relation, and labels them once, when it is
-built: one checkpointed relation ``labelled(kind, src, dst, ls, ld)`` holds
-every edge (kind CHILD), every reachability pair (kind DESC) and every
-node as the pair ``(id, id)`` (kind NODE), each with its endpoints'
-labels. The same step counts its rows per ``(kind, ls, ld)`` key into
-``sizes``, so every ``|ms(q)|`` and ``|ms(e)|`` is known without a
-Spark job. A query reads its ``ms(q)`` and ``ms(e)`` from that relation
-in one Spark job (:meth:`MatchContext.tagged_rows`, collected by
-``repro.core.simulation.collect_match_sets``), so one relation serves
-every query and algorithm — the role the paper's shared inverted lists
-and reachability index play. :meth:`MatchContext.ms_edge` gives one
-``ms(e)`` as a filter view of it, cached per key.
+built: one checkpointed relation ``labelled(kind, src, dst, ls, ld, kid)``
+holds every edge (kind CHILD), every reachability pair (kind DESC) and
+every node as the pair ``(id, id)`` (kind NODE), each with its
+endpoints' labels. ``kid`` is the integer id of the row's
+``(kind, ls, ld)`` key. The same step counts its rows per key into
+``sizes`` and reads each present key's id into ``kids``, so every
+``|ms(q)|`` and ``|ms(e)|`` is known without a Spark job. One filter,
+``kid IN (…)`` (:meth:`MatchContext.tagged_rows`), picks a query's
+``ms(q)`` and ``ms(e)`` out of that relation: collected in one Spark
+job by ``repro.core.simulation.collect_match_sets``, or one key at a
+time as a cached view by :meth:`MatchContext.ms_edge`. So one relation
+serves every query and algorithm — the role the paper's shared inverted
+lists and reachability index play.
 """
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
@@ -32,8 +35,9 @@ from repro.reach.closure import transitive_closure
 NODE = "node"  # the kind of a node's (id, id) row in the labelled relation
 
 
-def label_relation(graph: Graph, reach: DataFrame) -> tuple[DataFrame, Counter]:
-    """The checkpointed ``labelled(kind, src, dst, ls, ld)`` relation and its row count per key.
+def label_relation(graph: Graph, reach: DataFrame) -> tuple[DataFrame, Counter, dict]:
+    """The checkpointed ``labelled(kind, src, dst, ls, ld, kid)`` relation,
+    its row count per key and each present key's ``kid``.
 
     Three Spark jobs: one broadcast of ``nodes`` labels both endpoints,
     and the count aggregation (a map stage and a result stage under
@@ -42,7 +46,8 @@ def label_relation(graph: Graph, reach: DataFrame) -> tuple[DataFrame, Counter]:
     broadcast; over the cached ``nodes`` each join starts its own. The
     relation is coalesced to the default parallelism, so a filter view
     scans that many partitions, not one per input partition of every
-    closure round.
+    closure round. ``kid`` hashes the key, so two keys may collide:
+    then this raises ``ValueError``.
     """
     lab = F.broadcast(graph.nodes.select("id", "label").localCheckpoint(eager=False))
     a, b = lab.alias("a"), lab.alias("b")
@@ -58,14 +63,17 @@ def label_relation(graph: Graph, reach: DataFrame) -> tuple[DataFrame, Counter]:
             F.lit(NODE).alias("kind"), F.col("id").alias("src"), F.col("id").alias("dst"),
             F.col("label").alias("ls"), F.col("label").alias("ld"),
         ))
+        .withColumn("kid", F.xxhash64("kind", "ls", "ld"))
         .coalesce(graph.nodes.sparkSession.sparkContext.defaultParallelism)
         .localCheckpoint(eager=False)
     )
-    sizes = Counter({
-        (r["kind"], r["ls"], r["ld"]): r["count"]
-        for r in labelled.groupBy("kind", "ls", "ld").count().collect()
-    })
-    return labelled, sizes
+    sizes, kids = Counter(), {}
+    for r in labelled.groupBy("kind", "ls", "ld", "kid").count().collect():
+        key = (r["kind"], r["ls"], r["ld"])
+        sizes[key], kids[key] = r["count"], r["kid"]
+    if len(set(kids.values())) < len(kids):
+        raise ValueError("two match-set keys hash to one kid")
+    return labelled, sizes, kids
 
 
 @dataclass
@@ -76,12 +84,13 @@ class MatchContext:
     reach: DataFrame = None
     labelled: DataFrame = field(init=False, repr=False)
     sizes: Counter = field(init=False, repr=False)  # rows per key; 0 for an absent key
+    kids: dict = field(init=False, repr=False)  # each present key's id; none for an absent key
     _edge_ms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.reach is None:
             self.reach = transitive_closure(self.graph.edges).cache()
-        self.labelled, self.sizes = label_relation(self.graph, self.reach)
+        self.labelled, self.sizes, self.kids = label_relation(self.graph, self.reach)
 
     @staticmethod
     def node_key(p: Pattern, q: int) -> tuple[str, str, str]:
@@ -91,10 +100,6 @@ class MatchContext:
     def edge_key(p: Pattern, e: PEdge) -> tuple[str, str, str]:
         return (e.kind, p.label_of(e.src), p.label_of(e.dst))
 
-    def ms_node(self, p: Pattern, q: int) -> DataFrame:
-        """``ms(q)``: the inverted list of q's label, as ``(id)``."""
-        return self.graph.inverted_list(p.label_of(q))
-
     def ms_node_sizes(self, p: Pattern) -> dict[int, int]:
         """``|ms(q)|`` of every node of ``p``, from the set-up counts."""
         return {q: self.sizes[self.node_key(p, q)] for q in p.node_ids()}
@@ -103,30 +108,15 @@ class MatchContext:
         """``ms(e)``: label-filtered edge or reachability pairs ``(src,dst)``."""
         key = self.edge_key(p, e)
         if key not in self._edge_ms:
-            self._edge_ms[key] = self.labelled.where(_is(key)).select("src", "dst")
+            self._edge_ms[key] = self.tagged_rows([key]).select("src", "dst")
         return self._edge_ms[key]
 
-    def tagged_rows(self, keys: list[tuple[str, str, str]]) -> DataFrame:
-        """The rows of ``keys`` as ``(_k, src, dst)``, ``_k`` the key's index in ``keys``."""
-        cases = " ".join(f"WHEN {_is(key)} THEN {i}" for i, key in enumerate(keys))
-        return (self.labelled.select(F.expr(f"CASE {cases} END").alias("_k"), "src", "dst")
-                .where("_k IS NOT NULL"))
+    def tagged_rows(self, keys: Iterable[tuple[str, str, str]]) -> DataFrame:
+        """The rows of ``keys`` as ``(kid, src, dst)``; an absent key has none."""
+        kids = [self.kids[k] for k in keys if k in self.kids]
+        return self.labelled.where(F.col("kid").isin(kids)).select("kid", "src", "dst")
 
     def release(self) -> None:
         """Forget the ``ms(e)`` views; the labelled relation stays."""
         self._edge_ms.clear()
 
-
-def _is(key: tuple[str, str, str]) -> str:
-    """The SQL predicate that selects ``key``'s rows.
-
-    A string, parsed once in the JVM: building the same predicate from
-    ``Column`` objects costs one Py4J call per node, 0.2-0.3 s for a
-    query's keys on a 4-core host, against 0.03 s for the whole collect.
-    """
-    return " AND ".join(f"{col} = {_sql_string(v)}" for col, v in zip(("kind", "ls", "ld"), key))
-
-
-def _sql_string(s: str) -> str:
-    """``s`` as a Spark SQL string literal, with its quotes and backslashes escaped."""
-    return "'" + s.replace("\\", "\\\\").replace("'", "\\'") + "'"

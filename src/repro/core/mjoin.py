@@ -19,9 +19,8 @@ matching the oracle SQL of repro.queries.sql, so results diff directly.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
 
-from repro.core.local import answer_frame
+from repro.core.local import Answers
 from repro.core.rig import RIG
 from repro.harness.runner import Guard
 from repro.queries.sql import col_name
@@ -48,8 +47,8 @@ def mjoin(
     limit: int | None = None,
     guard: Guard | None = None,
     partial_cap: int | None = None,
-) -> DataFrame:
-    """Enumerate Q(G) from the RIG along ``order``; returns a DataFrame.
+) -> Answers:
+    """Enumerate Q(G) from the RIG along ``order``; returns :class:`Answers`.
 
     Algorithm 5 as backtracking with sorted-array intersection. At depth
     i the candidates of q_i are the intersection of the adjacency lists
@@ -71,7 +70,7 @@ def mjoin(
     The guard is ticked every ``TICK_EVERY`` extensions at a depth with
     the largest partial-match count so far and, at the end, once per
     depth after the first with its partial-match count. The answers are
-    listed before this returns; the DataFrame's ``count()`` starts no job.
+    listed before this returns, on the driver.
     """
     assert sorted(order) == sorted(rig.pattern.node_ids()), "order must permute query nodes"
     p = rig.pattern
@@ -117,5 +116,4 @@ def mjoin(
         for n in partial[1:]:
             guard.tick(n)
     rows = np.array(answers, dtype=np.int64).reshape(len(answers), len(order))
-    return answer_frame(rows[:, [pos[q] for q in p.node_ids()]],
-                        [col_name(q) for q in p.node_ids()])
+    return Answers(rows[:, [pos[q] for q in p.node_ids()]], [col_name(q) for q in p.node_ids()])

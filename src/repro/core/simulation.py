@@ -62,23 +62,28 @@ def collect_match_sets(ctx: MatchContext, p: Pattern) -> LocalSets:
 
     Sized from the counts the ``MatchContext`` took at set-up, with no
     Spark job: when the sets total more than ``LOCAL_MAX_ROWS`` rows,
-    raises ``RowCap`` (OM). Otherwise one job ships each distinct key of
-    ``p`` once, and the driver splits the rows into sorted arrays.
-    Nodes or edges with the same key share one read-only array.
+    raises ``RowCap`` (OM). Otherwise one job ships the rows of each
+    distinct key of ``p`` once, picked by their integer ``kid``, and the
+    driver splits them by ``kid`` into sorted arrays; a key absent from
+    the graph gets an empty one. Nodes or edges with the same key share
+    one read-only array.
     """
     node_keys = {q: ctx.node_key(p, q) for q in p.node_ids()}
     edge_keys = {e: ctx.edge_key(p, e) for e in p.edges}
     total = sum(ctx.sizes[k] for k in [*node_keys.values(), *edge_keys.values()])
     if total > local.LOCAL_MAX_ROWS:
         raise RowCap(f"match sets of {total} rows > {local.LOCAL_MAX_ROWS} on the driver")
-    keys = sorted(set(node_keys.values()) | set(edge_keys.values()))
+    keys = set(node_keys.values()) | set(edge_keys.values())
     pdf = ctx.tagged_rows(keys).toPandas()
-    k, src, dst = (pdf[c].to_numpy(np.int64) for c in ("_k", "src", "dst"))
-    order = np.lexsort((dst, src, k))
+    kid, src, dst = (pdf[c].to_numpy(np.int64) for c in ("kid", "src", "dst"))
+    order = np.lexsort((dst, src, kid))
+    kid = kid[order]
     rows = np.stack([src[order], dst[order]], axis=1)
     rows.setflags(write=False)
-    bounds = np.searchsorted(k[order], np.arange(len(keys) + 1))
-    part = {key: rows[bounds[i]:bounds[i + 1]] for i, key in enumerate(keys)}
+    ids, starts = np.unique(kid, return_index=True)
+    ends = np.append(starts[1:], len(kid))
+    by_kid = {k: rows[a:b] for k, a, b in zip(ids.tolist(), starts.tolist(), ends.tolist())}
+    part = {key: by_kid.get(ctx.kids.get(key), rows[:0]) for key in keys}
     return LocalSets(
         {q: part[key][:, 0] for q, key in node_keys.items()},
         {e: part[key] for e, key in edge_keys.items()},

@@ -2,17 +2,16 @@
 
 The paper (Def. 2.1) assumes a directed node-labeled graph ``G=(V,E)``.
 We hold ``G`` as two DataFrames — ``nodes(id BIGINT, label STRING)`` and
-``edges(src BIGINT, dst BIGINT)`` — so every downstream operation
-(inverted lists, match sets, simulation pruning, MJoin) is a Catalyst
-plan over these relations.
+``edges(src BIGINT, dst BIGINT)``. The reachability closure and the
+labelled match relation (``repro.core.matchsets``) are Spark plans over
+them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 NODE_SCHEMA = "id LONG, label STRING"
 EDGE_SCHEMA = "src LONG, dst LONG"
@@ -30,7 +29,6 @@ class Graph:
     nodes: DataFrame
     edges: DataFrame
     name: str = "graph"
-    _label_cache: dict = field(default_factory=dict, repr=False)
 
     def cache(self) -> "Graph":
         """Cache both relations; the graph is re-read by every phase."""
@@ -39,20 +37,9 @@ class Graph:
         return self
 
     def unpersist(self) -> None:
-        """Free both relations and every cached inverted list."""
+        """Free both relations."""
         self.nodes.unpersist()
         self.edges.unpersist()
-        for ids in self._label_cache.values():
-            ids.unpersist()
-        self._label_cache.clear()
-
-    def inverted_list(self, label: str) -> DataFrame:
-        """``I_label``: ids of nodes carrying ``label`` (Def. 2.1)."""
-        if label not in self._label_cache:
-            self._label_cache[label] = (
-                self.nodes.where(F.col("label") == label).select("id").cache()
-            )
-        return self._label_cache[label]
 
     def stats(self) -> dict:
         """Table-2 style statistics: |V|, |E|, |L| and average degrees.

@@ -30,8 +30,8 @@ GRID = [
 ]
 
 
-def answer_set(df):
-    return {tuple(r) for r in df.collect()}
+def answer_set(res):
+    return {tuple(r) for r in res.rows.tolist()}
 
 
 @pytest.mark.parametrize("p", GRID)
@@ -75,8 +75,9 @@ class TestPrefilter:
         g, ctx = tiny_ctx_for(1)
         p = instantiate(6, qtype="H", n_labels=5, seed=1)
         pf, _ = prefilter_nodes(ctx, p)
+        nodes, _ = g.to_pandas()
         for q in p.node_ids():
-            assert id_set(pf[q]) <= {r["id"] for r in ctx.ms_node(p, q).collect()}
+            assert id_set(pf[q]) <= set(nodes.id[nodes.label == p.label_of(q)])
 
 
 DQ9 = instantiate(9, qtype="D", n_labels=5, seed=1)  # directed triangle: 36 answers on tiny graph 0
@@ -198,7 +199,8 @@ def test_capped_baseline_is_reproducible(tiny_ctx_for, alg):
     # DQ9 has 36 answers on tiny graph 0; five of them are listed, the
     # same five on every call.
     g, ctx = tiny_ctx_for(0)
-    runs = [[tuple(r) for r in alg(ctx, DQ9, limit=5, guard=Guard()).collect()] for _ in range(2)]
+    runs = [[tuple(r) for r in alg(ctx, DQ9, limit=5, guard=Guard()).rows.tolist()]
+            for _ in range(2)]
     assert len(runs[0]) == 5 and runs[0] == runs[1]
     assert set(runs[0]) <= homomorphisms(DQ9, *g.to_pandas())
 
@@ -226,7 +228,8 @@ class TestPlanning:
         g, ctx = tiny_ctx_for(0)
         p = instantiate(8, qtype="H", n_labels=5, seed=1)
         rig = expand_rig(p, *prefilter_nodes(ctx, p))
-        node_card = {q: ctx.ms_node(p, q).count() for q in p.node_ids()}
+        nodes, _ = g.to_pandas()
+        node_card = {q: int((nodes.label == p.label_of(q)).sum()) for q in p.node_ids()}
         plan = plan_left_deep(p, rig.edge_counts, node_card)
         assert set(plan) == set(p.edges)
 

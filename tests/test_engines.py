@@ -23,7 +23,7 @@ def test_gf_matches_bruteforce_on_c_queries(tiny_ctx_for, tid):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()
     p = instantiate(tid, qtype="C", n_labels=5, seed=1)
-    got = {tuple(r) for r in gf(ctx, p).collect()}
+    got = {tuple(r) for r in gf(ctx, p).rows.tolist()}
     assert got == homomorphisms(p, nodes, edges)
 
 
@@ -41,8 +41,8 @@ def test_gf_on_materialized_closure_equals_gm_on_d_query(tiny_ctx_for, spark):
     p = instantiate(9, qtype="D", n_labels=5, seed=0)
     tc_graph = Graph(nodes=g.nodes, edges=ctx.reach, name="tc").cache()
     tc_ctx = MatchContext(graph=tc_graph, reach=ctx.reach)
-    got = {tuple(r) for r in gf(tc_ctx, child_only_on_closure(p)).collect()}
-    expected = {tuple(r) for r in gm(ctx, p).df.collect()}
+    got = {tuple(r) for r in gf(tc_ctx, child_only_on_closure(p)).rows.tolist()}
+    expected = {tuple(r) for r in gm(ctx, p).df.rows.tolist()}
     assert got == expected
 
 
@@ -57,9 +57,9 @@ def test_eh_returns_answer_and_precompute_time(tiny_ctx_for):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()
     p = instantiate(6, qtype="C", n_labels=5, seed=1)
-    df, pre = eh(ctx, p)
+    res, pre = eh(ctx, p)
     assert pre >= 0
-    got = {tuple(r) for r in df.collect()}
+    got = {tuple(r) for r in res.rows.tolist()}
     assert got == homomorphisms(p, nodes, edges)
 
 
@@ -67,7 +67,7 @@ def test_eh_returns_answer_and_precompute_time(tiny_ctx_for):
 def test_neo4j_matches_bruteforce(tiny_ctx_for, p):
     g, ctx = tiny_ctx_for(0)
     nodes, edges = g.to_pandas()
-    got = {tuple(r) for r in neo4j(ctx, p).collect()}
+    got = {tuple(r) for r in neo4j(ctx, p).rows.tolist()}
     assert got == homomorphisms(p, nodes, edges)
 
 

@@ -117,10 +117,3 @@ def test_stats_shape(em_graph):
     s = em_graph.stats()
     assert set(s) == {"V", "E", "L", "d_avg", "d_out"}
     assert s["V"] > 0 and s["E"] > 0 and s["L"] > 1
-
-
-def test_inverted_list_is_label_filter(em_graph):
-    lab = em_graph.nodes.select("label").first()["label"]
-    inv = em_graph.inverted_list(lab)
-    expected = em_graph.nodes.where(F.col("label") == lab).count()
-    assert inv.count() == expected

@@ -4,6 +4,7 @@ from itertools import product
 import pandas as pd
 import pytest
 
+from repro.core import matchsets
 from repro.core.matchsets import MatchContext, label_relation
 from repro.core.simulation import collect_match_sets
 from repro.graphs.model import graph_from_pandas
@@ -21,12 +22,6 @@ def bundle(tiny_ctx_for):
     p = Pattern.of({0: labs[0], 1: labs[1]}, [(0, 1, CHILD)])
     pd_ = Pattern.of({0: labs[0], 1: labs[1]}, [(0, 1, DESC)])
     return g, ctx, nodes, edges, p, pd_
-
-
-def test_ms_node_is_inverted_list(bundle):
-    g, ctx, nodes, _, p, _ = bundle
-    got = {r["id"] for r in ctx.ms_node(p, 0).collect()}
-    assert got == set(nodes[nodes.label == p.label_of(0)].id)
 
 
 def test_ms_child_edge(bundle):
@@ -88,7 +83,8 @@ def cyclic(spark):
 def test_labelled_relation_on_a_cyclic_graph(cyclic):
     # Every (kind, ls, ld) view, and its rows collected to the driver,
     # equal the brute-force closure or edge set, and the set-up counts
-    # equal each view's count().
+    # equal each view's count(). Present keys have distinct ids; absent
+    # keys have none.
     _, ctx, nodes, edges = cyclic
     lab = dict(zip(nodes.id, nodes.label))
     base = {CHILD: set(edges.itertuples(index=False, name=None)), DESC: reach_pairs(edges)}
@@ -102,16 +98,27 @@ def test_labelled_relation_on_a_cyclic_graph(cyclic):
             assert got == {(s, d) for s, d in pairs if (lab[s], lab[d]) == (ls, ld)}
             assert pair_set(collect_match_sets(ctx, p).ms_edges[p.edges[0]]) == got
             assert ctx.sizes[ctx.edge_key(p, p.edges[0])] == view.count()
+            assert (ctx.edge_key(p, p.edges[0]) in ctx.kids) == bool(got)
     for ls in labels:
         p = Pattern.of({0: ls, 1: ls}, [(0, 1, DESC)])
         n = list(lab.values()).count(ls)
-        assert ctx.ms_node_sizes(p) == {0: n, 1: n} == {0: ctx.ms_node(p, 0).count(), 1: n}
+        assert ctx.ms_node_sizes(p) == {0: n, 1: n} == {0: int((nodes.label == ls).sum()), 1: n}
+        assert ctx.node_key(p, 0) in ctx.kids
+    assert ctx.kids.keys() == {k for k, n in ctx.sizes.items() if n > 0}
+    assert len(set(ctx.kids.values())) == len(ctx.kids)
 
 
 def test_labelling_takes_at_most_three_jobs(cyclic, spark):
     g, ctx, _, _ = cyclic
-    (_, sizes), jobs = spark_jobs(spark, lambda: label_relation(g, ctx.reach))
-    assert sizes == ctx.sizes and jobs <= 3
+    (_, sizes, kids), jobs = spark_jobs(spark, lambda: label_relation(g, ctx.reach))
+    assert sizes == ctx.sizes and kids == ctx.kids and jobs <= 3
+
+
+def test_two_keys_on_one_id_fail_set_up(cyclic, monkeypatch):
+    g, ctx, _, _ = cyclic
+    monkeypatch.setattr(matchsets.F, "xxhash64", lambda *cols: matchsets.F.lit(0))
+    with pytest.raises(ValueError, match="one kid"):
+        label_relation(g, ctx.reach)
 
 
 def test_absent_label_gives_no_rows(cyclic):
@@ -121,14 +128,13 @@ def test_absent_label_gives_no_rows(cyclic):
         assert ctx.ms_edge(p, p.edges[0]).count() == 0
         assert ctx.sizes[ctx.edge_key(p, p.edges[0])] == 0
         assert ctx.ms_node_sizes(p)[1] == 0
+        assert ctx.edge_key(p, p.edges[0]) not in ctx.kids
 
 
-def test_graph_unpersist_frees_inverted_lists(spark):
+def test_graph_unpersist_frees_nodes_and_edges(spark):
     nodes = pd.DataFrame({"id": [0, 1], "label": ["A", "B"]})
     edges = pd.DataFrame({"src": [0], "dst": [1]})
     g = graph_from_pandas(spark, nodes, edges).cache()
-    inv = g.inverted_list("A")
-    assert inv.count() == 1 and inv.is_cached
+    assert g.nodes.is_cached and g.edges.is_cached
     g.unpersist()
-    assert not inv.is_cached and g._label_cache == {}
     assert not g.nodes.is_cached and not g.edges.is_cached

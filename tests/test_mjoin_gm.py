@@ -13,13 +13,13 @@ from repro.queries.templates import instantiate
 from tests.bruteforce import homomorphisms
 
 
-def oracle_check(res_df, pattern, graph):
+def oracle_check(res, pattern, graph):
     nodes, edges = graph.to_pandas()
-    assert_equivalent(res_df, pattern_to_sql(pattern), nodes=nodes, edges=edges)
+    assert_equivalent(res, pattern_to_sql(pattern), nodes=nodes, edges=edges)
 
 
-def answer_set(df):
-    return {tuple(r) for r in df.collect()}
+def answer_set(res):
+    return {tuple(r) for r in res.rows.tolist()}
 
 
 # A representative slice of the paper's workload grid: one template per

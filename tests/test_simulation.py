@@ -68,8 +68,9 @@ def test_fb_subset_of_match_sets(tiny_ctx_for):
     g, ctx = tiny_ctx_for(0)
     p = instantiate(1, qtype="H", n_labels=5, seed=0)
     fb = _fb_sets(fb_sim(ctx, p, max_passes=None))
+    nodes, _ = g.to_pandas()
     for q in p.node_ids():
-        assert fb[q] <= {r["id"] for r in ctx.ms_node(p, q).collect()}
+        assert fb[q] <= set(nodes.id[nodes.label == p.label_of(q)])
 
 
 def test_pass_cap_is_superset_of_fixpoint(tiny_ctx_for):
